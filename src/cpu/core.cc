@@ -29,7 +29,7 @@ Core::Core(const CoreConfig &config, mem::Hierarchy &hierarchy,
       bpred(config.bpred, &statsGroup),
       fetch(config.fetch, hierarchy, bpred, &statsGroup),
       rob(config.robEntries),
-      iq(config.iqEntries),
+      iq(config.iqEntries, rob.slotCount()),
       lq(config.lqEntries),
       sq(config.sqEntries),
       storeBuf(config.sbEntries, hierarchy, &statsGroup),
@@ -160,9 +160,9 @@ Core::retireStage(Tick now)
         if (retireHook)
             retireHook(h, now);
 
-        // The retiring op is complete: clear any waiter pointers
-        // before the ROB entry is destroyed.
-        iq.dropProducer(&h);
+        // Consumers were unlinked when this op issued, so retirement
+        // leaves the IQ alone; only the rename mapping may still name
+        // it.
         rename.retire(&h);
         streams[std::size_t(h.tid)]->commitUpTo(h.op.seqNum);
         ++retiredCount[std::size_t(h.tid)];
@@ -206,27 +206,27 @@ bool
 Core::issueStage(Tick now)
 {
     unsigned issuedCnt = 0;
-    bool anyIssued = false;
     bool progress = false;
 
-    for (DynInst *e : iq) {
-        if (issuedCnt >= cfg.issueWidth)
-            break;
+    // Only armed ops (no producer left to issue) are visited, oldest
+    // first; the callback returns false once the issue width is used.
+    iq.forEachArmed(rob.headSlot(), [&](std::size_t slot) {
+        DynInst *e = &rob.slot(slot);
         if (!e->srcsReady(now))
-            continue;
+            return true;
         if (!fus.canIssue(e->op.op, now))
-            continue;
+            return true;
 
         if (e->op.isLoad()) {
             auto sqm = sq.search(e->op.memAddr, e->op.seqNum, now);
             if (sqm == StoreQueue::Match::Block)
-                continue; // older store's data not ready yet
+                return true; // older store's data not ready yet
             if (sqm == StoreQueue::Match::Forward) {
                 completeLoadIssue(e, now);
             } else {
                 auto sbm = storeBuf.probe(e->op.memAddr, e->tid);
                 if (sbm == StoreBuffer::Match::OtherThread)
-                    continue; // no cross-thread forwarding: wait
+                    return true; // no cross-thread forwarding: wait
                 if (sbm == StoreBuffer::Match::SameThread) {
                     completeLoadIssue(e, now);
                 } else {
@@ -235,7 +235,7 @@ Core::issueStage(Tick now)
                     progress = true;
                     auto res = hier.load(e->tid, e->op.memAddr, now);
                     if (res.retry)
-                        continue; // L1D MSHRs full
+                        return true; // L1D MSHRs full
                     e->completionTick = res.completion;
                     e->l2Miss = res.l2Miss;
                     e->l1Miss = res.l1Miss;
@@ -252,11 +252,8 @@ Core::issueStage(Tick now)
 
         fus.occupy(e->op.op, now);
         e->issued = true;
-        e->inIq = false;
-        // Producer pointers are dead once the op has issued; clear
-        // them so they can never dangle past the producer's retire.
-        e->src[0] = e->src[1] = nullptr;
-        anyIssued = true;
+        iq.remove(e);
+        e->wakeConsumers([this](DynInst *c) { iq.arm(c); });
         ++issuedCnt;
 
         if (e->op.isBranch()) {
@@ -264,11 +261,10 @@ Core::issueStage(Tick now)
             if (e->mispredicted)
                 fetch.branchResolved(e->op.seqNum, e->completionTick);
         }
-    }
+        return issuedCnt < cfg.issueWidth;
+    });
 
-    if (anyIssued)
-        iq.compact();
-    return progress || anyIssued;
+    return progress || issuedCnt > 0;
 }
 
 bool
@@ -286,14 +282,11 @@ Core::dispatchStage(Tick now)
         if (f->op.isStore() && sq.full())
             break;
 
-        DynInst inst = fetch.takeDispatchable();
+        DynInst &r = rob.push(*f);
+        fetch.popDispatchable();
 
-        DynInst *p0 = rename.producer(inst.op.src0);
-        DynInst *p1 = rename.producer(inst.op.src1);
-        inst.src[0] = (p0 && !p0->completedBy(now)) ? p0 : nullptr;
-        inst.src[1] = (p1 && !p1->completedBy(now)) ? p1 : nullptr;
-
-        DynInst &r = rob.push(std::move(inst));
+        r.dependOn(rename.producer(r.op.src0),
+                   rename.producer(r.op.src1));
         rename.setProducer(&r);
         iq.insert(&r);
         if (r.op.isLoad())
@@ -346,6 +339,7 @@ Core::checkInvariants(Tick now) const
     // ROB is in program order with contiguous seqNums and everything
     // belongs to the active thread.
     InstSeqNum prev = 0;
+    std::size_t waiting = 0;
     for (const DynInst &e : rob) {
         soefair_assert(e.tid == activeTid,
                        "ROB holds a non-active thread's op");
@@ -355,16 +349,31 @@ Core::checkInvariants(Tick now) const
         if (e.issued) {
             soefair_assert(e.completionTick != maxTick,
                            "issued op without completion tick");
+            soefair_assert(!e.firstConsumer,
+                           "issued op still holds consumers");
+            soefair_assert(!iq.armed(&e), "issued op still armed");
+        } else {
+            ++waiting;
+            soefair_assert(iq.armed(&e) == (e.pendingSrcs == 0),
+                           "IQ armed bit disagrees with pendingSrcs");
         }
+        unsigned pending = 0;
         for (const DynInst *s : e.src) {
             if (s) {
+                ++pending;
                 soefair_assert(s->inRob,
                                "source pointer to non-ROB producer");
                 soefair_assert(s->op.seqNum < e.op.seqNum,
                                "source younger than consumer");
+                soefair_assert(!s->issued,
+                               "source pointer to an issued producer");
             }
         }
+        soefair_assert(pending == e.pendingSrcs,
+                       "pendingSrcs disagrees with source pointers");
     }
+    soefair_assert(waiting == iq.size(),
+                   "IQ occupancy disagrees with unissued ROB ops");
     (void)now;
 }
 

@@ -91,10 +91,9 @@ FetchUnit::tick(Tick now)
         ++fetched;
         progress = true;
 
-        DynInst inst;
+        DynInst &inst = buffer.emplaceBack();
         inst.op = op;
         inst.tid = active;
-        inst.fetchTick = now;
         inst.dispatchReadyTick = now + cfg.frontDepth;
 
         bool stopGroup = false;
@@ -116,7 +115,6 @@ FetchUnit::tick(Tick now)
             }
         }
 
-        buffer.pushBack(std::move(inst));
         if (stopGroup)
             break;
     }
@@ -162,13 +160,11 @@ FetchUnit::dispatchable(Tick now)
     return &buffer.front();
 }
 
-DynInst
-FetchUnit::takeDispatchable()
+void
+FetchUnit::popDispatchable()
 {
-    soefair_assert(!buffer.empty(), "takeDispatchable on empty buffer");
-    DynInst inst = buffer.front();
+    soefair_assert(!buffer.empty(), "popDispatchable on empty buffer");
     buffer.popFront();
-    return inst;
 }
 
 void

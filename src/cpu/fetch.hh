@@ -85,8 +85,11 @@ class SOE_THREAD_OWNED(core_lp) FetchUnit
     /** Oldest buffered op if it is dispatch-ready, else nullptr. */
     DynInst *dispatchable(Tick now);
 
-    /** Remove the op returned by dispatchable(). */
-    DynInst takeDispatchable();
+    /**
+     * Drop the op returned by dispatchable(), once dispatch has
+     * copied it into the ROB.
+     */
+    void popDispatchable();
 
     /**
      * A branch has executed. If fetch was stalled on it, restart

@@ -11,13 +11,18 @@
  * never changes between push and pop (slots are reused only after
  * the entry left the structure), so all existing pointer protocols
  * carry over, and steady-state simulation does zero heap allocation.
+ *
+ * The slot array is rounded up to a power of two so that wrapping is
+ * a mask, not a division; the logical capacity (when full() turns
+ * true) is exactly the requested one. Slot indices are stable for
+ * the life of an entry, and walking slots upward from frontSlot()
+ * (wrapping at slotCount()) visits entries oldest first.
  */
 
 #ifndef SOEFAIR_CPU_INST_RING_HH
 #define SOEFAIR_CPU_INST_RING_HH
 
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 #include "cpu/dyn_inst.hh"
@@ -32,25 +37,36 @@ namespace cpu
 class SOE_THREAD_OWNED(core_lp) InstRing
 {
   public:
-    explicit InstRing(std::size_t capacity) : slots(capacity)
+    explicit InstRing(std::size_t capacity)
+        : slots(roundUpPow2(capacity)), mask(slots.size() - 1),
+          cap(capacity)
     {
         soefair_assert(capacity > 0,
                        "InstRing capacity must be positive");
     }
 
     bool empty() const { return count == 0; }
-    bool full() const { return count == slots.size(); }
+    bool full() const { return count == cap; }
     std::size_t size() const { return count; }
-    std::size_t capacity() const { return slots.size(); }
+    std::size_t capacity() const { return cap; }
+    /** Physical slot count: capacity() rounded up to a power of two. */
+    std::size_t slotCount() const { return slots.size(); }
 
-    /** Append at the tail; returns the stable slot. */
+    /** Append a default-initialised entry at the tail; returns it. */
     DynInst &
-    pushBack(DynInst &&inst)
+    emplaceBack()
     {
-        soefair_assert(!full(), "push to full InstRing");
-        DynInst &slot = slots[wrap(head + count)];
-        slot = std::move(inst);
-        ++count;
+        DynInst &slot = claimTail();
+        slot = DynInst{};
+        return slot;
+    }
+
+    /** Append a copy of `inst` at the tail; returns the stable slot. */
+    DynInst &
+    pushBack(const DynInst &inst)
+    {
+        DynInst &slot = claimTail();
+        slot = inst;
         return slot;
     }
 
@@ -82,6 +98,14 @@ class SOE_THREAD_OWNED(core_lp) InstRing
     {
         return slots[wrap(head + i)];
     }
+
+    /** Slot index of the oldest entry. */
+    std::size_t frontSlot() const { return head; }
+    /** Slot index of the next entry pushBack()/emplaceBack() fills. */
+    std::size_t tailSlot() const { return wrap(head + count); }
+    /** The entry in physical slot `s` (must be occupied). */
+    DynInst &slot(std::size_t s) { return slots[s]; }
+    const DynInst &slot(std::size_t s) const { return slots[s]; }
 
     void
     popFront()
@@ -129,9 +153,29 @@ class SOE_THREAD_OWNED(core_lp) InstRing
     const_iterator end() const { return {this, count}; }
 
   private:
-    std::size_t wrap(std::size_t i) const { return i % slots.size(); }
+    static std::size_t
+    roundUpPow2(std::size_t n)
+    {
+        std::size_t p = 1;
+        while (p < n)
+            p <<= 1;
+        return p;
+    }
+
+    DynInst &
+    claimTail()
+    {
+        soefair_assert(!full(), "push to full InstRing");
+        DynInst &slot = slots[wrap(head + count)];
+        ++count;
+        return slot;
+    }
+
+    std::size_t wrap(std::size_t i) const { return i & mask; }
 
     std::vector<DynInst> slots;
+    std::size_t mask;
+    std::size_t cap;
     std::size_t head = 0;
     std::size_t count = 0;
 };

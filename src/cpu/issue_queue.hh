@@ -6,11 +6,21 @@
  * a functional unit is free. Selection is oldest-first, which both
  * matches P6-style schedulers closely enough and keeps runs
  * deterministic.
+ *
+ * Every waiting op already lives in a ROB slot, so the queue stores
+ * no entries of its own: it is an occupancy count (the RS capacity
+ * limit) plus an "armed" bitmask over ROB ring slots. An op is armed
+ * once no source producer is left to issue (DynInst::pendingSrcs ==
+ * 0); producers arm their consumers as they issue. The issue stage
+ * walks only the armed bits, upward from the ROB head slot, which is
+ * oldest-first order. Retirement never touches the queue: a retiring
+ * op issued long ago, and its consumers were unlinked at that point.
  */
 
 #ifndef SOEFAIR_CPU_ISSUE_QUEUE_HH
 #define SOEFAIR_CPU_ISSUE_QUEUE_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "cpu/dyn_inst.hh"
@@ -25,49 +35,108 @@ namespace cpu
 class SOE_THREAD_OWNED(core_lp) IssueQueue
 {
   public:
-    explicit IssueQueue(unsigned capacity) : cap(capacity)
+    /**
+     * @param capacity RS entries.
+     * @param rob_slots Ring slot count of the ROB the entries live in.
+     */
+    IssueQueue(unsigned capacity, std::size_t rob_slots)
+        : cap(capacity), slots(rob_slots), armedBits((rob_slots + 63) / 64)
     {
         soefair_assert(cap > 0, "IQ capacity must be positive");
-        entries.reserve(cap);
+        soefair_assert(slots > 0, "IQ over an empty ROB");
     }
 
-    bool full() const { return entries.size() >= cap; }
-    bool empty() const { return entries.empty(); }
-    std::size_t size() const { return entries.size(); }
+    bool full() const { return count >= cap; }
+    bool empty() const { return count == 0; }
+    std::size_t size() const { return count; }
 
+    /** A dispatched op enters; armed at once if no source waits. */
     void
     insert(DynInst *inst)
     {
         soefair_assert(!full(), "insert to full IQ");
-        inst->inIq = true;
-        entries.push_back(inst);
+        ++count;
+        if (inst->pendingSrcs == 0)
+            arm(inst);
     }
 
-    /** Remove every entry already marked !inIq (issued this cycle). */
-    void compact();
+    /** Its last pending producer issued: `inst` may now be selected. */
+    void
+    arm(const DynInst *inst)
+    {
+        const std::size_t s = inst->robSlot;
+        armedBits[s >> 6] |= std::uint64_t(1) << (s & 63);
+    }
+
+    bool
+    armed(const DynInst *inst) const
+    {
+        const std::size_t s = inst->robSlot;
+        return (armedBits[s >> 6] >> (s & 63)) & 1;
+    }
+
+    /** `inst` issued: it leaves the queue. */
+    void
+    remove(const DynInst *inst)
+    {
+        soefair_assert(armed(inst), "removing an unarmed IQ op");
+        const std::size_t s = inst->robSlot;
+        armedBits[s >> 6] &= ~(std::uint64_t(1) << (s & 63));
+        --count;
+    }
 
     /** Drop everything (thread-switch drain). */
     void
     squashAll()
     {
-        for (DynInst *e : entries)
-            e->inIq = false;
-        entries.clear();
+        for (std::uint64_t &w : armedBits)
+            w = 0;
+        count = 0;
     }
 
     /**
-     * Retire-time cleanup: a retiring producer is complete, so any
-     * waiter's pointer to it can be cleared (treated as ready).
+     * Visit armed slots in ring order starting at `from` (the ROB
+     * head slot) and wrapping: oldest first. visit(slot) returns
+     * false to stop the walk. Bits armed during a visit are seen if
+     * they lie ahead of the cursor, and every op armed by an issuing
+     * producer is younger than it, so it always does.
      */
-    void dropProducer(const DynInst *producer);
-
-    /** Oldest-first iteration. */
-    auto begin() { return entries.begin(); }
-    auto end() { return entries.end(); }
+    template <typename Visit>
+    void
+    forEachArmed(std::size_t from, Visit &&visit)
+    {
+        if (scan(from, slots, visit))
+            scan(0, from, visit);
+    }
 
   private:
+    template <typename Visit>
+    bool
+    scan(std::size_t lo, std::size_t hi, Visit &visit)
+    {
+        std::size_t i = lo;
+        while (i < hi) {
+            const std::size_t w = i >> 6;
+            std::uint64_t bits = armedBits[w] >> (i & 63);
+            const std::size_t left = hi - i;
+            if (left < 64)
+                bits &= (std::uint64_t(1) << left) - 1;
+            if (!bits) {
+                i = (w + 1) << 6;
+                continue;
+            }
+            i += std::size_t(__builtin_ctzll(bits));
+            if (!visit(i))
+                return false;
+            ++i;
+        }
+        return true;
+    }
+
     unsigned cap;
-    std::vector<DynInst *> entries;
+    std::size_t slots;
+    unsigned count = 0;
+    std::vector<std::uint64_t> armedBits;
 };
 
 } // namespace cpu

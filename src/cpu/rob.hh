@@ -25,29 +25,34 @@ namespace cpu
 class SOE_THREAD_OWNED(core_lp) Rob
 {
   public:
-    explicit Rob(unsigned capacity) : cap(capacity), entries(capacity)
-    {
-        soefair_assert(cap > 0, "ROB capacity must be positive");
-    }
+    explicit Rob(unsigned capacity) : entries(capacity) {}
 
     bool full() const { return entries.full(); }
     bool empty() const { return entries.empty(); }
     std::size_t size() const { return entries.size(); }
-    unsigned capacity() const { return cap; }
+    unsigned capacity() const { return unsigned(entries.capacity()); }
 
-    /** Append at the tail; returns the stable ROB entry. */
+    /**
+     * Ring slots (a power of two >= capacity). DynInst::robSlot
+     * indexes them; walking upward from headSlot() and wrapping is
+     * oldest-first order.
+     */
+    std::size_t slotCount() const { return entries.slotCount(); }
+    std::size_t headSlot() const { return entries.frontSlot(); }
+    DynInst &slot(std::size_t s) { return entries.slot(s); }
+
+    /** Copy `inst` in at the tail; returns the stable ROB entry. */
     DynInst &
-    push(DynInst &&inst)
+    push(const DynInst &inst)
     {
         soefair_assert(!full(), "push to full ROB");
         soefair_assert(entries.empty() ||
                        inst.op.seqNum == entries.back().op.seqNum + 1,
                        "ROB must stay in program order");
-        DynInst &e = entries.pushBack(std::move(inst));
+        const std::size_t s = entries.tailSlot();
+        DynInst &e = entries.pushBack(inst);
+        e.robSlot = std::uint32_t(s);
         e.inRob = true;
-        SOE_AUDIT(entries.size() <= cap,
-                  "ROB occupancy ", entries.size(),
-                  " above capacity ", cap);
         return e;
     }
 
@@ -108,7 +113,6 @@ class SOE_THREAD_OWNED(core_lp) Rob
     auto end() const { return entries.end(); }
 
   private:
-    unsigned cap;
     InstRing entries;
 };
 

@@ -14,6 +14,7 @@
 #ifndef SOEFAIR_SIM_RANDOM_HH
 #define SOEFAIR_SIM_RANDOM_HH
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -85,8 +86,13 @@ class Rng
     geometric(double p, std::uint64_t cap = 1u << 20)
     {
         soefair_assert(p > 0.0 && p <= 1.0, "geometric p out of range");
+        // chance(p) is k * 2^-53 < p for the 53-bit draw k, which for
+        // an integer k is exactly k < ceil(p * 2^53) (the product is
+        // exact: a power-of-two scale). Same draws, no float per try.
+        const auto threshold =
+            std::uint64_t(std::ceil(p * 9007199254740992.0));
         std::uint64_t n = 0;
-        while (n < cap && !chance(p))
+        while (n < cap && (next() >> 11) >= threshold)
             ++n;
         return n;
     }

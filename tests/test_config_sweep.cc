@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <tuple>
 
@@ -38,6 +39,15 @@ points()
         {"table3", 96, 48, 32, 24, 32, 2048, 4},
         {"wide", 192, 96, 48, 48, 64, 4096, 8},
     };
+}
+
+// Without this, gtest prints the raw object bytes (including the
+// std::string heap pointer) into the listed test names, so every run
+// of the binary would name the tests differently.
+void
+PrintTo(const ConfigPoint &p, std::ostream *os)
+{
+    *os << p.name;
 }
 
 MachineConfig

@@ -10,6 +10,8 @@
 #include "core/metrics.hh"
 #include "harness/machine_config.hh"
 #include "harness/runner.hh"
+#include "harness/system.hh"
+#include "soe/engine.hh"
 #include "soe/policies.hh"
 
 using namespace soefair;
@@ -38,6 +40,27 @@ smallRun()
 }
 
 } // namespace
+
+TEST(CoreSoe, WakeupInvariantsHoldEveryCycle)
+{
+    // Audit the producer/consumer links, the IQ armed set and the
+    // ROB after every cycle of a run that switches both on misses and
+    // on a small forced quota, so drains hit every pipeline state.
+    const MachineConfig mc = benchMc();
+    harness::System sys(mc, {ThreadSpec::benchmark("gcc", 5),
+                             ThreadSpec::benchmark("mcf", 6)});
+    soe::FixedQuotaPolicy policy(150);
+    soe::SoeEngine engine(mc.soe, policy, 2, &sys.stats());
+    sys.start(&engine);
+    for (int c = 0; c < 300000; ++c) {
+        sys.step(1);
+        ASSERT_NO_THROW(sys.core().checkInvariants(sys.now()))
+            << "cycle " << sys.now();
+    }
+    EXPECT_GT(sys.core().switchesMiss.value(), 100u);
+    EXPECT_GT(sys.core().switchesForced.value(), 10u);
+    EXPECT_GT(sys.core().retired(0) + sys.core().retired(1), 20000u);
+}
 
 TEST(CoreSoe, SwitchesOnMisses)
 {

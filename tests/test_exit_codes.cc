@@ -13,10 +13,14 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cctype>
+#include <filesystem>
 #include <map>
 #include <set>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "harness/cli_verbs.hh"
@@ -92,11 +96,32 @@ documentedCodes(const std::string &contract)
     return codes;
 }
 
+/**
+ * Per-process scratch directory for scenario artifacts. ctest -j runs
+ * each test in its own process; a directory shared between them lets
+ * one test rewrite the trace another is replaying.
+ */
 std::string
 scratchDir()
 {
-    const std::string tmp = harness::env::getOr("TMPDIR", "");
-    return tmp.empty() ? std::string("/tmp") : tmp;
+    struct Dir
+    {
+        Dir()
+        {
+            const std::string tmp = harness::env::getOr("TMPDIR", "");
+            path = (tmp.empty() ? std::string("/tmp") : tmp) +
+                "/soefair_fault_" + std::to_string(::getpid());
+            std::filesystem::create_directories(path);
+        }
+        ~Dir()
+        {
+            std::error_code ec;
+            std::filesystem::remove_all(path, ec);
+        }
+        std::string path;
+    };
+    static const Dir dir;
+    return dir.path;
 }
 
 } // namespace

@@ -5,8 +5,12 @@
  * graceful degradation), deterministically for a fixed seed.
  */
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
 #include <string>
+#include <system_error>
 
 #include <gtest/gtest.h>
 
@@ -20,12 +24,32 @@ using namespace soefair::sim;
 namespace
 {
 
-/** Scratch directory for scenario artifacts (shared, overwritten). */
+/**
+ * Per-process scratch directory for scenario artifacts. ctest -j runs
+ * each test in its own process; a directory shared between them lets
+ * one test rewrite the trace another is replaying.
+ */
 std::string
 scratchDir()
 {
-    const std::string tmp = harness::env::getOr("TMPDIR", "");
-    return tmp.empty() ? std::string("/tmp") : tmp;
+    struct Dir
+    {
+        Dir()
+        {
+            const std::string tmp = harness::env::getOr("TMPDIR", "");
+            path = (tmp.empty() ? std::string("/tmp") : tmp) +
+                "/soefair_fault_" + std::to_string(::getpid());
+            std::filesystem::create_directories(path);
+        }
+        ~Dir()
+        {
+            std::error_code ec;
+            std::filesystem::remove_all(path, ec);
+        }
+        std::string path;
+    };
+    static const Dir dir;
+    return dir.path;
 }
 
 } // namespace

@@ -119,7 +119,7 @@ TEST(Fetch, TakeDispatchableConsumesInOrder)
         while (DynInst *d = f.fetch.dispatchable(t)) {
             EXPECT_GT(d->op.seqNum, prev);
             prev = d->op.seqNum;
-            f.fetch.takeDispatchable();
+            f.fetch.popDispatchable();
             if (++taken >= 8)
                 break;
         }
@@ -155,7 +155,7 @@ TEST(Fetch, StallsOnUnfollowableBranchUntilResolved)
         while (DynInst *d = f.fetch.dispatchable(u)) {
             if (d->mispredicted)
                 branchSeq = d->op.seqNum;
-            f.fetch.takeDispatchable();
+            f.fetch.popDispatchable();
         }
         if (branchSeq)
             break;

@@ -113,3 +113,60 @@ TEST(InstStream, WindowBoundedByCommit)
         ASSERT_LE(f.stream.buffered(), 96u);
     }
 }
+
+TEST(InstStream, ReplayAndCommitAcrossRingWrapAndGrowth)
+{
+    // An independent generator with the same seed is the reference
+    // stream.
+    Fixture f;
+    WorkloadGenerator refGen(spec::byName("gcc"), 0, 21);
+    std::vector<isa::MicroOp> ref;
+    auto expectOp = [&](const isa::MicroOp &op) {
+        while (ref.size() < op.seqNum)
+            ref.push_back(refGen.next());
+        const isa::MicroOp &want = ref[std::size_t(op.seqNum - 1)];
+        ASSERT_EQ(op.pc, want.pc) << "seq " << op.seqNum;
+        ASSERT_EQ(op.memAddr, want.memAddr) << "seq " << op.seqNum;
+        ASSERT_EQ(op.taken, want.taken) << "seq " << op.seqNum;
+    };
+
+    // Phase 1: a window of ~100 ops slides through many laps of the
+    // ring, squashing back to the oldest op every lap.
+    InstSeqNum fetched = 0;
+    for (int lap = 0; lap < 20; ++lap) {
+        for (int i = 0; i < 100; ++i) {
+            const isa::MicroOp &op = f.stream.fetchNext();
+            ASSERT_EQ(op.seqNum, ++fetched);
+            expectOp(op);
+        }
+        f.stream.commitUpTo(fetched - 40);
+        f.stream.squashAfter(invalidSeqNum);
+        fetched -= 40;
+        ASSERT_EQ(f.stream.oldestSeq(), fetched + 1);
+    }
+
+    // Phase 2: no commits for far longer than the ring holds, so the
+    // ring has to grow with a wrapped head; the replay must survive.
+    const InstSeqNum oldest = f.stream.oldestSeq();
+    for (int i = 0; i < 700; ++i)
+        expectOp(f.stream.fetchNext());
+    EXPECT_EQ(f.stream.buffered(), 700u);
+    f.stream.squashAfter(oldest + 99);
+    for (int i = 0; i < 640; ++i) {
+        const isa::MicroOp &op = f.stream.fetchNext();
+        ASSERT_EQ(op.seqNum, oldest + 100 + InstSeqNum(i));
+        expectOp(op);
+    }
+
+    // Phase 3: commit most of it and keep sliding in the grown ring.
+    f.stream.commitUpTo(oldest + 700);
+    EXPECT_EQ(f.stream.buffered(), 39u);
+    f.stream.squashAfter(invalidSeqNum);
+    for (int i = 0; i < 3000; ++i) {
+        const isa::MicroOp &op = f.stream.fetchNext();
+        ASSERT_EQ(op.seqNum, oldest + 701 + InstSeqNum(i));
+        expectOp(op);
+        if (i % 50 == 49)
+            f.stream.commitUpTo(op.seqNum - 20);
+    }
+}

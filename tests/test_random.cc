@@ -7,6 +7,7 @@
 
 #include "sim/logging.hh"
 #include "sim/random.hh"
+#include "workload/profile.hh"
 
 using soefair::deriveSeed;
 using soefair::DiscreteSampler;
@@ -97,6 +98,47 @@ TEST(Rng, GeometricMeanMatches)
         sum += double(r.geometric(p));
     // mean of geometric (failures before success) = (1-p)/p = 3.
     EXPECT_NEAR(sum / n, 3.0, 0.1);
+}
+
+namespace
+{
+
+/** The chance()-per-try loop geometric() used to run. */
+std::uint64_t
+chanceLoopGeometric(Rng &r, double p, std::uint64_t cap)
+{
+    std::uint64_t n = 0;
+    while (n < cap && !r.chance(p))
+        ++n;
+    return n;
+}
+
+} // namespace
+
+TEST(Rng, GeometricMatchesChanceLoopDrawForDraw)
+{
+    // Every dependence-distance parameter the workload profiles use,
+    // plus the edges of the domain.
+    std::vector<double> ps = {1.0, 0.5, std::ldexp(1.0, -53)};
+    for (const std::string &name : soefair::workload::spec::allNames()) {
+        for (const auto &ph : soefair::workload::spec::byName(name).phases)
+            ps.push_back(ph.depGeoP);
+    }
+    for (double p : ps) {
+        for (std::uint64_t seed : {1ull, 7ull, 0xdeadbeefull, 1ull << 40}) {
+            Rng fast(seed);
+            Rng ref(seed);
+            // A tiny cap keeps p = 2^-53 cheap; it then always caps.
+            const std::uint64_t cap = p < 1e-9 ? 64 : 127;
+            for (int i = 0; i < 2000; ++i) {
+                ASSERT_EQ(fast.geometric(p, cap),
+                          chanceLoopGeometric(ref, p, cap))
+                    << "p=" << p << " seed=" << seed << " draw " << i;
+            }
+            EXPECT_EQ(fast.rawState(), ref.rawState())
+                << "p=" << p << " seed=" << seed;
+        }
+    }
 }
 
 TEST(Rng, StateRoundTrip)
