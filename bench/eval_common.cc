@@ -103,12 +103,10 @@ drainLocally(const service::CampaignManifest &manifest,
     cfg.slots = env::resolveUnsigned(std::nullopt,
                                      "SOEFAIR_EVAL_JOBS", cfg.slots);
     // Threaded drain (SOEFAIR_EVAL_THREADS=N): first attempts run
-    // in-process, batched K per flock round; retries fall back to
-    // the fork loop. Output is byte-identical either way.
+    // in-process, one job per idle thread; retries fall back to the
+    // fork loop. Output is byte-identical either way.
     cfg.threads = env::resolveUnsigned(
         std::nullopt, "SOEFAIR_EVAL_THREADS", cfg.threads);
-    cfg.batch = env::resolveUnsigned(std::nullopt,
-                                     "SOEFAIR_EVAL_BATCH", cfg.batch);
 
     service::SweepService svc(cfg);
     try {

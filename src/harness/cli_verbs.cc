@@ -39,8 +39,9 @@ campaignOptions()
     };
 }
 
+/** Options of the worker loop every campaign verb runs. */
 std::vector<CliVerbOption>
-supervisorOptions()
+workerOptions()
 {
     return {
         {"--jobs N", "parallel forked job slots (default 1)"},
@@ -54,7 +55,7 @@ supervisorOptions()
         {"--backoff S", "base retry backoff in seconds (0.25)"},
         {"--inject SPEC",
          "test hook: job@action[@maxAttempt] provokes hang | kill | "
-         "input | watchdog in the job's child; repeatable"},
+         "input | watchdog in the job's attempt; repeatable"},
     };
 }
 
@@ -92,7 +93,8 @@ const char *exitSim =
     "12 watchdog; 13 checkpoint";
 const char *exitCampaign =
     "0 complete; 20 partial (MISSING cells); 21 nothing completed; "
-    "2 usage; 1 fatal";
+    "22 complete but jobs were rejected at enqueue; 2 usage; "
+    "1 fatal; 13 checkpoint";
 
 std::vector<CliVerb>
 buildVerbs()
@@ -148,22 +150,7 @@ buildVerbs()
                 {{"--out F", "output path (default <bench>.soetrace)"}}),
          exitSim});
 
-    verbs.push_back(
-        {"sweep", "sweep [options]",
-         "run benchmark pairs across F levels under the "
-         "crash-isolated supervisor and emit CSV",
-         concat(concat(concat(runOptions(), campaignOptions()),
-                       supervisorOptions()),
-                {{"--journal F",
-                  "write-ahead journal path (default "
-                  "soefair_sweep.journal)"},
-                 {"--resume F",
-                  "resume from an existing journal"},
-                 {"--out F", "CSV output path (default stdout)"}}),
-         exitCampaign});
-
     const std::vector<CliVerbOption> serviceOpts = {
-        {"--queue DIR", "job queue directory (required)"},
         {"--cache DIR",
          "content-addressed result cache (empty disables)"},
         {"--capacity N", "queue admission bound, 0 = unbounded"},
@@ -171,18 +158,33 @@ buildVerbs()
         {"--lease S", "lease duration in seconds (default 60)"},
         {"--heartbeat S", "lease renewal interval (default lease/3)"},
         {"--poll S", "idle poll interval (default 0.5)"},
-        {"--batch K",
-         "jobs claimed per flock round by each worker thread "
-         "(default 4; only with --threads)"},
     };
+    const std::vector<CliVerbOption> queueOpt = {
+        {"--queue DIR", "job queue directory (required)"}};
+
+    verbs.push_back(
+        {"sweep", "sweep [options]",
+         "run benchmark pairs across F levels on a fresh job queue "
+         "(enqueue + serve + aggregate) and emit CSV",
+         concat(concat(concat(runOptions(), campaignOptions()),
+                       workerOptions()),
+                concat({{"--queue DIR",
+                         "job queue directory (default "
+                         "soefair_sweep.queue; recreated per run)"},
+                        {"--resume DIR",
+                         "finish the campaign in an existing queue, "
+                         "re-admitting quarantined jobs at attempt 1"},
+                        {"--out F", "CSV output path (default stdout)"}},
+                       serviceOpts)),
+         exitCampaign});
 
     verbs.push_back(
         {"enqueue", "enqueue --queue DIR [options]",
          "durably enqueue a sweep campaign into a job queue "
          "directory (idempotent)",
          concat(concat(concat(runOptions(), campaignOptions()),
-                       supervisorOptions()),
-                serviceOpts),
+                       workerOptions()),
+                concat(queueOpt, serviceOpts)),
          "0 ok; 22 admission control rejected jobs (queue at "
          "capacity); 2 usage; 13 checkpoint"});
 
@@ -191,7 +193,7 @@ buildVerbs()
          "worker loop: drain the queue under lease-based claiming, "
          "serving from the verified result cache when possible; "
          "SIGTERM is a graceful stop",
-         concat(supervisorOptions(), serviceOpts),
+         concat(workerOptions(), concat(queueOpt, serviceOpts)),
          "0 drained or stopped gracefully; 2 usage; 13 checkpoint"});
 
     verbs.push_back(
@@ -199,11 +201,10 @@ buildVerbs()
          "enqueue (if needed) + serve + aggregate: one-command "
          "service campaign emitting the same CSV as sweep",
          concat(concat(concat(runOptions(), campaignOptions()),
-                       supervisorOptions()),
-                concat(serviceOpts,
+                       workerOptions()),
+                concat(concat(queueOpt, serviceOpts),
                        {{"--out F", "CSV output path (stdout)"}})),
-         "0 complete; 20 partial; 21 nothing completed; 22 complete "
-         "but jobs were rejected at enqueue; 2 usage; 13 checkpoint"});
+         exitCampaign});
 
     verbs.push_back(
         {"gateway", "gateway --listen ADDR --root DIR [options]",

@@ -1,7 +1,7 @@
 /**
  * @file
- * Shared helpers for the flat-JSONL durable formats (sweep journal,
- * service job queue, campaign manifest).
+ * Shared helpers for the flat-JSONL durable formats (the service
+ * job queue and the campaign manifest).
  *
  * Every line is one flat JSON object of "key":"string" /
  * "key":integer members. CRC-guarded lines carry the checksum as

@@ -104,7 +104,7 @@ struct SoeRunResult
 };
 
 /**
- * Serialize/parse the result fields the sweep journal records
+ * Serialize/parse the result fields the job queue records
  * (space-separated, 17 significant digits so doubles round-trip
  * bit-exactly; a resumed campaign must aggregate byte-identically
  * to an uninterrupted one). Decoders return false on malformed

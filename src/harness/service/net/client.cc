@@ -6,7 +6,7 @@
 #include <cerrno>
 #include <cstdlib>
 
-#include "harness/supervisor.hh"
+#include "harness/job_exit.hh"
 #include "sim/errors.hh"
 #include "stats/statfmt.hh"
 
@@ -51,8 +51,7 @@ GatewayClient::backoffSleep(unsigned attempt, unsigned server_ms,
 {
     double delay = std::min(
         cfg.backoffMaxSeconds,
-        SweepSupervisor::backoffSeconds(cfg.backoffBaseSeconds,
-                                        attempt));
+        backoffSeconds(cfg.backoffBaseSeconds, attempt));
     // Jitter in [0.5, 1.0) of the schedule: concurrent clients
     // decorrelate instead of stampeding in lockstep.
     delay *= 0.5 + rng.real() * 0.5;

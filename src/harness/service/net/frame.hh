@@ -13,7 +13,7 @@
  *    so a corrupt length can never make a reader allocate or wait
  *    for gigabytes;
  *  - the payload is a flat JSONL object sealed with the same CRC-32
- *    scheme the durable queue/journal use (harness/jsonl.hh), so a
+ *    scheme the durable queue uses (harness/jsonl.hh), so a
  *    bit flipped in flight is a detected ProtocolError, never a
  *    silently different message.
  *

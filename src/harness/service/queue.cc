@@ -15,8 +15,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "harness/job_exit.hh"
 #include "harness/jsonl.hh"
-#include "harness/supervisor.hh"
 #include "sim/errors.hh"
 
 namespace soefair
@@ -58,9 +58,9 @@ field(const std::map<std::string, std::string> &fields,
  * with a single write(2) + fsync: a concurrent reader (under the
  * queue lock) sees either every whole record or, after a kill
  * mid-write, a torn unterminated tail it can truncate away — never
- * an interleaving. Batched appends (claimBatch/renewBatch) ride the
- * same single-write guarantee, which is what amortizes the fsync
- * across a whole batch.
+ * an interleaving. Batched appends (renewBatch) ride the same
+ * single-write guarantee, which is what amortizes the fsync across
+ * a whole batch.
  */
 void
 rawWrite(const std::string &path, const std::string &buf)
@@ -466,6 +466,15 @@ JobQueue::applyLocked(const std::map<std::string, std::string> &f,
         js.failClass = field(f, "class");
         js.failDetail = field(f, "detail");
         clearLease();
+    } else if (op == "readmit") {
+        if (js.phase == JobPhase::Quarantined) {
+            js.phase = JobPhase::Pending;
+            js.failedAttempts = 0;
+            js.leaseLosses = 0;
+            js.lastFailTime = 0;
+            js.failClass.clear();
+            js.failDetail.clear();
+        }
     } else {
         raiseError<CheckpointError>("queue segment '", where,
                                     "': unknown op '", op, "'");
@@ -539,32 +548,12 @@ JobQueue::enqueue(const QueueJob &job)
 
 bool
 JobQueue::claim(const std::string &worker, std::int64_t now,
-                double lease_seconds, LeaseClaim &out)
+                double lease_seconds, LeaseClaim &out,
+                bool pristine_only)
 {
-    std::vector<LeaseClaim> one;
-    if (claimBatch(worker, now, lease_seconds, 1, one) == 0)
-        return false;
-    out = one.front();
-    return true;
-}
-
-std::size_t
-JobQueue::claimBatch(const std::string &worker, std::int64_t now,
-                     double lease_seconds, std::size_t max_jobs,
-                     std::vector<LeaseClaim> &out, bool pristine_only)
-{
-    if (max_jobs == 0)
-        return 0;
     Lock l(lockFd);
     refreshLocked();
-    const std::int64_t expiry =
-        now +
-        std::int64_t(std::llround(std::max(1.0, lease_seconds)));
-    std::vector<std::string> leaseLines;
-    std::vector<LeaseClaim> claims;
     for (const auto &id : order) {
-        if (claims.size() >= max_jobs)
-            break;
         JobStatus &js = jobs[id];
         if (js.phase == JobPhase::Leased && js.leaseExpiry <= now) {
             // Reclaim the expired lease of a crashed/hung worker.
@@ -593,31 +582,29 @@ JobQueue::claimBatch(const std::string &worker, std::int64_t now,
             (js.failedAttempts > 0 || js.leaseLosses > 0))
             continue;
         if (js.failedAttempts > 0) {
-            const double backoff = SweepSupervisor::backoffSeconds(
+            const double backoff = backoffSeconds(
                 cfg.backoffBaseSeconds, js.failedAttempts);
             if (double(now - js.lastFailTime) < backoff)
                 continue;
         }
-        const unsigned attempt = js.failedAttempts + 1;
-        std::ostringstream os;
-        os << "{\"op\":\"lease\",\"job\":\"" << jsonlEscape(id)
-           << "\",\"worker\":\"" << jsonlEscape(worker)
-           << "\",\"attempt\":" << attempt << ",\"expiry\":" << expiry
-           << "}";
-        leaseLines.push_back(os.str());
         LeaseClaim c;
         c.job = js.job;
         c.worker = worker;
-        c.attempt = attempt;
-        c.expiry = expiry;
-        claims.push_back(std::move(c));
+        c.attempt = js.failedAttempts + 1;
+        c.expiry = now + std::int64_t(std::llround(
+                             std::max(1.0, lease_seconds)));
+        std::ostringstream os;
+        os << "{\"op\":\"lease\",\"job\":\"" << jsonlEscape(id)
+           << "\",\"worker\":\"" << jsonlEscape(worker)
+           << "\",\"attempt\":" << c.attempt
+           << ",\"expiry\":" << c.expiry << "}";
+        // The claim only becomes visible to the caller once its
+        // lease record is durable.
+        commitLocked(os.str());
+        out = std::move(c);
+        return true;
     }
-    // All lease records land in one write + fsync; claims only
-    // become visible to the caller once they are durable.
-    commitManyLocked(leaseLines);
-    for (auto &c : claims)
-        out.push_back(std::move(c));
-    return leaseLines.size();
+    return false;
 }
 
 JobStatus *
@@ -727,6 +714,22 @@ JobQueue::release(const LeaseClaim &c)
     commitLocked(os.str());
 }
 
+unsigned
+JobQueue::readmitQuarantined()
+{
+    Lock l(lockFd);
+    refreshLocked();
+    std::vector<std::string> lines;
+    for (const auto &id : order) {
+        if (jobs[id].phase != JobPhase::Quarantined)
+            continue;
+        lines.push_back("{\"op\":\"readmit\",\"job\":\"" +
+                        jsonlEscape(id) + "\"}");
+    }
+    commitManyLocked(lines);
+    return unsigned(lines.size());
+}
+
 void
 JobQueue::quarantineLocked(const std::string &job_id,
                            unsigned attempts, const std::string &cls,
@@ -781,7 +784,7 @@ JobQueue::hasClaimable(std::int64_t now)
         if (js.phase != JobPhase::Pending)
             continue;
         if (js.failedAttempts > 0) {
-            const double backoff = SweepSupervisor::backoffSeconds(
+            const double backoff = backoffSeconds(
                 cfg.backoffBaseSeconds, js.failedAttempts);
             if (double(now - js.lastFailTime) < backoff)
                 continue;

@@ -19,6 +19,7 @@
  *    "class":"watchdog","detail":"...","t":1700000042,"crc":N}
  *   {"op":"quarantine","job":"...","attempts":3,"class":"watchdog",
  *    "detail":"...","crc":N}
+ *   {"op":"readmit","job":"...","crc":N}
  *
  * Durability and recovery rules:
  *
@@ -41,13 +42,14 @@
  *    expired lease does NOT advance the attempt number — the retry
  *    runs at the same seed, so a kill-and-resume campaign stays
  *    byte-identical to an uninterrupted one. Only a *committed
- *    failure* record advances the attempt (jittered reseeding, same
- *    rule as the in-process supervisor);
+ *    failure* record advances the attempt (jittered reseeding, see
+ *    harness/job_exit.hh);
  *  - a job is quarantined (dead-lettered, surfaced as an explicit
  *    MISSING cell, never retried again) after maxAttempts committed
  *    transient failures, after a single permanent failure, or after
  *    maxAttempts lost leases (a poison job that kills its worker
- *    every time never loops forever);
+ *    every time never loops forever). A `readmit` record returns a
+ *    quarantined job to pending at attempt 1 (`sweep --resume`);
  *  - enqueue admission control: with a nonzero capacity, enqueueing
  *    beyond `capacity` open (pending + leased) jobs is rejected —
  *    backpressure the producer can see, instead of an unbounded
@@ -126,7 +128,7 @@ struct QueueConfig
      *  the bound on lost leases before a job is presumed poison. */
     unsigned maxAttempts = 3;
     /** Base of the exponential retry backoff applied at claim time
-     *  (SweepSupervisor::backoffSeconds schedule). */
+     *  (the harness::backoffSeconds schedule). */
     double backoffBaseSeconds = 0.25;
     /** Records per segment before a new segment file is started. */
     unsigned segmentRecords = 512;
@@ -185,27 +187,14 @@ class JobQueue
      * `now + lease_seconds`. Eligible: pending jobs past their
      * retry backoff, plus expired leases (reclaimed here, which may
      * quarantine a poison job instead of handing it out again).
+     * With `pristine_only`, jobs carrying any committed failure or
+     * lost lease are skipped — the in-process thread pool uses this
+     * to leave retries to crash-isolated fork-per-job execution.
      * Returns false when nothing is claimable right now.
      */
     bool claim(const std::string &worker, std::int64_t now,
-               double lease_seconds, LeaseClaim &out);
-
-    /**
-     * Claim up to `max_jobs` eligible jobs under ONE flock round:
-     * expired leases are reclaimed exactly as claim() does, and all
-     * new lease records are committed with a single write(2) +
-     * fsync, amortizing the lock and durability cost across the
-     * batch (claim() is claimBatch of one). With `pristine_only`,
-     * jobs carrying any committed failure or lost lease are skipped
-     * — the in-process thread-pool executor uses this to escalate
-     * retries back to crash-isolated fork-per-job execution.
-     * Claims are appended to `out`; returns the number claimed.
-     */
-    std::size_t claimBatch(const std::string &worker,
-                           std::int64_t now, double lease_seconds,
-                           std::size_t max_jobs,
-                           std::vector<LeaseClaim> &out,
-                           bool pristine_only = false);
+               double lease_seconds, LeaseClaim &out,
+               bool pristine_only = false);
 
     /** Renew a lease. Returns false when the lease was lost (the
      *  caller must abandon the job: someone else owns it now). */
@@ -215,8 +204,8 @@ class JobQueue
     /**
      * Renew every still-owned lease in `claims` with one flock'd
      * multi-record append (one fsync for the whole batch; this is
-     * what keeps a large `--threads N --batch K` pool from paying a
-     * lock + fsync per held lease per heartbeat tick). Renewed
+     * what keeps a large `--threads N` pool from paying a lock +
+     * fsync per held lease per heartbeat tick). Renewed
      * claims get their expiry updated in place. Returns a per-claim
      * flag: false means that lease was lost and the caller must
      * abandon the job (heartbeat() is renewBatch of one).
@@ -241,6 +230,14 @@ class JobQueue
     /** Give a lease back unconsumed (graceful shutdown): the job
      *  returns to pending without an attempt or lease-loss mark. */
     void release(const LeaseClaim &c);
+
+    /**
+     * Return every quarantined job to pending at attempt 1, with
+     * its failure and lease-loss history cleared, by one durable
+     * `readmit` record per job (`sweep --resume`). Returns the
+     * number of jobs re-admitted.
+     */
+    unsigned readmitQuarantined();
 
     /** Re-read records appended by other processes, then snapshot
      *  the replayed per-job state (id -> status). */

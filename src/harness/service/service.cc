@@ -18,9 +18,9 @@
 #include <iostream>
 #include <sstream>
 
+#include "harness/job_exit.hh"
 #include "harness/jsonl.hh"
 #include "harness/machine_config.hh"
-#include "harness/supervisor.hh"
 #include "harness/worker_pool.hh"
 #include "sim/errors.hh"
 #include "sim/logging.hh"
@@ -346,7 +346,7 @@ SweepService::serve()
     if (!cfg.cacheDir.empty())
         cache.open(cfg.cacheDir);
 
-    std::map<std::string, SupervisorJob> bodies;
+    std::map<std::string, CampaignJob> bodies;
     for (auto &job : campaign.jobs())
         bodies.emplace(job.id, std::move(job));
 
@@ -377,7 +377,6 @@ SweepService::serve()
         pc.cacheDir = cfg.cacheDir;
         pc.workerName = cfg.workerName;
         pc.threads = cfg.threads;
-        pc.batch = cfg.batch;
         pc.leaseSeconds = cfg.leaseSeconds;
         pc.heartbeatSeconds = cfg.heartbeatSeconds;
         pc.progress = cfg.progress;
@@ -432,17 +431,9 @@ SweepService::serve()
             // Child: run the job body, ship the payload through the
             // pipe, _exit with the SimError taxonomy's code.
             ::close(fds[0]);
-            int code = 0;
             std::string payload;
-            try {
-                payload = it->second.run(claim.attempt);
-            } catch (const SimError &e) {
-                code = e.exitCode();
-            } catch (const FatalError &) {
-                code = 1;
-            } catch (...) {
-                code = 3;
-            }
+            const int code =
+                runJobBody(it->second.run, claim.attempt, payload);
             if (code == 0)
                 writeAll(fds[1], payload);
             ::close(fds[1]);
@@ -490,8 +481,8 @@ SweepService::serve()
                      ": lease lost mid-run; result discarded");
             return;
         }
-        const std::string cls = SweepSupervisor::classifyStatus(
-            status, r.deadlineKilled);
+        const std::string cls =
+            classifyStatus(status, r.deadlineKilled);
         if (cls.empty()) {
             // Cache before committing: even if the lease was lost
             // in the meantime, the payload is valid and
@@ -522,7 +513,7 @@ SweepService::serve()
         } else {
             detail = "status " + std::to_string(status);
         }
-        const bool transient = SweepSupervisor::isTransient(cls);
+        const bool transient = isTransient(cls);
         if (queue.fail(r.claim, cls, detail, transient, epochNow())) {
             stats.failed++;
             progress(r.claim.job.id + ": " +
@@ -668,6 +659,25 @@ SweepService::serve()
         logging::printLine(*cfg.progress, os.str());
     }
     return stats;
+}
+
+unsigned
+SweepService::readmitQuarantined()
+{
+    const SweepCampaign campaign =
+        campaignFromManifest(loadManifest(cfg.queueDir));
+    QueueConfig qcfg;
+    qcfg.maxAttempts = cfg.maxAttempts;
+    JobQueue queue;
+    queue.open(cfg.queueDir, campaign.journalKey(), qcfg);
+    const unsigned n = queue.readmitQuarantined();
+    if (cfg.progress && n > 0) {
+        logging::printLine(*cfg.progress,
+                           "[service] re-admitted " +
+                               std::to_string(n) +
+                               " quarantined job(s) at attempt 1");
+    }
+    return n;
 }
 
 CampaignResult

@@ -10,16 +10,19 @@
  *    rebuild the exact SweepCampaign) and enqueues every campaign
  *    job, carrying each job's content-address fingerprint and base
  *    seed. Admission control applies (QueueConfig::capacity);
- *  - `serve` is the worker loop. With ServiceConfig::threads > 0 it
- *    first drains pristine first-attempt jobs on an in-process
- *    thread pool (harness/worker_pool.hh) — batched claims, no fork
+ *  - `serve` is the worker loop, and the campaign's only fork loop
+ *    (`sweep`, `drain` and the figure benches all run it). With
+ *    ServiceConfig::threads > 0 it first drains pristine
+ *    first-attempt jobs on an in-process thread pool
+ *    (harness/worker_pool.hh) — one claim per idle thread, no fork
  *    — then falls through to the fork phase for whatever remains.
- *    The fork phase: claim a lease, check the result
- *    cache (a verified hit completes the job without simulating),
- *    otherwise fork the job body under a wall-clock deadline —
- *    exactly the supervisor's crash-isolation pattern — renew the
- *    lease by heartbeat while the child runs, classify the exit
- *    against the SimError taxonomy and commit done/failed. SIGTERM
+ *    The fork phase: claim a lease, check the result cache (a
+ *    verified hit completes the job without simulating), otherwise
+ *    fork the job body under a wall-clock deadline (SIGKILL on
+ *    expiry) so a crash, sanitizer abort, hang or OOM takes down
+ *    only its child, renew the lease by heartbeat while the child
+ *    runs, classify the exit against the SimError taxonomy
+ *    (harness/job_exit.hh) and commit done/failed. SIGTERM
  *    (ServiceConfig::stopFlag) is a graceful shutdown: in-flight
  *    children are killed and their leases released un-consumed, so
  *    another worker picks the jobs up at the same attempt number;
@@ -31,8 +34,7 @@
  * workers were SIGKILLed at arbitrary points and then resumed, and
  * a campaign served entirely from the result cache all aggregate to
  * byte-identical CSV. Lease reclamation does not advance attempt
- * numbers; only committed failures do (jittered reseeding) — the
- * same rule the in-process supervisor applies.
+ * numbers; only committed failures do (jittered reseeding).
  */
 
 #ifndef SOEFAIR_HARNESS_SERVICE_SERVICE_HH
@@ -119,16 +121,14 @@ struct ServiceConfig
     /**
      * In-process worker threads (0 disables the pool). With threads
      * > 0, serve() first drains every *pristine* job (no committed
-     * failure, no lost lease) on a WorkerPool — K jobs claimed per
-     * flock round, thread-local Runner/System, no fork — and then
+     * failure, no lost lease) on a WorkerPool — each idle thread
+     * claims one job, thread-local Runner/System, no fork — and then
      * falls through to the fork-per-job loop for retries and
      * leftovers, so transient failures keep crash isolation and
      * wall-clock deadlines. Aggregates are byte-identical across
      * the two modes by the determinism contract.
      */
     unsigned threads = 0;
-    /** Jobs claimed per flock round by each pool thread. */
-    unsigned batch = 4;
     /** Queue admission bound (0 = unbounded). */
     unsigned capacity = 0;
     /** Idle poll interval while other workers hold leases. */
@@ -177,6 +177,11 @@ class SweepService
 
     /** Fold the queue state into a CampaignResult. */
     CampaignResult aggregate();
+
+    /** Return every quarantined job to pending at attempt 1
+     *  (JobQueue::readmitQuarantined; `sweep --resume`). Returns the
+     *  number re-admitted. */
+    unsigned readmitQuarantined();
 
     /** Fault-injection passthrough (SweepCampaign::setAttemptHook),
      *  applied to the job bodies `serve` forks. */

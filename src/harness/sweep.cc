@@ -395,14 +395,14 @@ SweepCampaign::jobSeed(const std::string &job_id)
     return pairSeed(0);
 }
 
-std::vector<SupervisorJob>
+std::vector<CampaignJob>
 SweepCampaign::jobs() const
 {
-    std::vector<SupervisorJob> out;
+    std::vector<CampaignJob> out;
     const auto hook = attemptHook;
 
     for (const auto &st : stJobList()) {
-        SupervisorJob j;
+        CampaignJob j;
         j.id = stJobId(st.bench, st.seed);
         j.run = [mc = mc, rc = rc, st, hook,
                  id = j.id](unsigned attempt) {
@@ -421,7 +421,7 @@ SweepCampaign::jobs() const
     for (const auto &[a, b] : pairList) {
         const auto [seedA, seedB] = pairSeeds(a, b);
         for (double f : fLevels) {
-            SupervisorJob j;
+            CampaignJob j;
             j.id = soeJobId(a, b, f);
             j.run = [mc = mc, rc = rc, a = a, b = b, seedA, seedB, f,
                      hook, id = j.id](unsigned attempt) {
@@ -449,19 +449,6 @@ SweepCampaign::jobs() const
         }
     }
     return out;
-}
-
-std::set<std::string>
-SweepCampaign::jobIds() const
-{
-    std::set<std::string> ids;
-    for (const auto &st : stJobList())
-        ids.insert(stJobId(st.bench, st.seed));
-    for (const auto &[a, b] : pairList) {
-        for (double f : fLevels)
-            ids.insert(soeJobId(a, b, f));
-    }
-    return ids;
 }
 
 CampaignResult
@@ -496,7 +483,7 @@ SweepCampaign::aggregate(
             }
             if (!decodeStPayload(o->payload, dst)) {
                 raiseError<CheckpointError>(
-                    "corrupt journal payload for job '", o->id,
+                    "corrupt payload for job '", o->id,
                     "': '", o->payload, "'");
             }
         };
@@ -524,7 +511,7 @@ SweepCampaign::aggregate(
             if (!decodeSoePayload(o->payload, lr.run) ||
                 lr.run.threads.size() != 2) {
                 raiseError<CheckpointError>(
-                    "corrupt journal payload for job '", o->id,
+                    "corrupt payload for job '", o->id,
                     "': '", o->payload, "'");
             }
             lr.speedups = {lr.run.threads[0].ipc / pr.stA.ipc,
@@ -538,30 +525,6 @@ SweepCampaign::aggregate(
             agg.results.push_back(std::move(pr));
     }
     return agg;
-}
-
-CampaignResult
-SweepCampaign::run(const SupervisorConfig &scfg,
-                   const std::string &journal_path,
-                   bool resume) const
-{
-    const auto jobList = jobs();
-    JournalWriter journal;
-    JournalState prior;
-    const JournalState *priorPtr = nullptr;
-    if (resume) {
-        const auto ids = jobIds();
-        prior = loadJournal(journal_path, journalKey(),
-                            /*tolerate_torn_tail=*/true, &ids);
-        journal.openAppend(journal_path);
-        priorPtr = &prior;
-    } else {
-        journal.create(journal_path, journalKey());
-    }
-    SweepSupervisor supervisor(scfg);
-    auto outcomes = supervisor.run(jobList, &journal, priorPtr);
-    journal.close();
-    return aggregate(outcomes);
 }
 
 } // namespace harness

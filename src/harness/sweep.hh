@@ -12,12 +12,11 @@
 #include <functional>
 #include <map>
 #include <ostream>
-#include <set>
 #include <string>
 #include <vector>
 
+#include "harness/job_exit.hh"
 #include "harness/runner.hh"
-#include "harness/supervisor.hh"
 
 namespace soefair
 {
@@ -98,9 +97,9 @@ std::uint64_t pairSeed(unsigned idx);
  * base seed, attempt k >= 2 at deriveSeed(seed, 1000 + k), so a
  * deterministic livelock at the base seed still has a chance to
  * complete on retry. Pinned by tests: the schedule is part of the
- * resume/replay determinism contract (a cached or journaled result
- * is only substitutable for re-simulation if the re-simulation
- * would have used the same seed).
+ * resume/replay determinism contract (a cached or queued result is
+ * only substitutable for re-simulation if the re-simulation would
+ * have used the same seed).
  */
 std::uint64_t attemptSeed(std::uint64_t seed, unsigned attempt);
 
@@ -133,8 +132,34 @@ struct MissingCell
     }
 };
 
+/** One unit of crash-isolated campaign work. */
+struct CampaignJob
+{
+    std::string id;
+    /**
+     * Job body. Returns the result payload; `attempt` is 1-based and
+     * retried attempts derive their seed from it (attemptSeed).
+     * Throwing a SimError fails the attempt with that class's exit
+     * code (runJobBody).
+     */
+    std::function<std::string(unsigned attempt)> run;
+};
+
+/** Final state of one campaign job, the input of aggregation. */
+struct JobOutcome
+{
+    std::string id;
+    bool done = false;
+    std::string payload;
+    /** Failure class when !done (see job_exit.hh), or "pending" /
+     *  "leased" for a job the queue has not finished. */
+    std::string failClass;
+    std::string detail;
+    unsigned attempts = 0;
+};
+
 /**
- * Outcome of a supervised campaign: every completed cell, assembled
+ * Outcome of a campaign: every completed cell, assembled
  * into PairResults (levels may be sparse; a pair whose baselines
  * failed is omitted entirely), plus an explicit entry for every gap.
  */
@@ -159,11 +184,12 @@ void writeCampaignCsv(std::ostream &os, const CampaignResult &agg);
 
 /**
  * The paper's evaluation sweep decomposed into independent,
- * crash-isolated jobs for the SweepSupervisor: one job per unique
- * single-thread baseline (bench, seed) — shared by every enforcement
- * level and pair that needs it — and one per pair x level. Job
- * results round-trip through the write-ahead journal, so a resumed
- * campaign aggregates byte-identically to an uninterrupted one.
+ * crash-isolated jobs for the sweep service (service/service.hh):
+ * one job per unique single-thread baseline (bench, seed) — shared
+ * by every enforcement level and pair that needs it — and one per
+ * pair x level. Job results round-trip through the durable queue,
+ * so a resumed campaign aggregates byte-identically to an
+ * uninterrupted one.
  */
 class SweepCampaign
 {
@@ -173,8 +199,9 @@ class SweepCampaign
                       pairs,
                   std::vector<double> f_levels);
 
-    /** Configuration fingerprint stored in the journal header; a
-     *  resume against a differing key raises CheckpointError. */
+    /** Configuration fingerprint stored in the queue's segment
+     *  headers; opening a queue with a differing key raises
+     *  CheckpointError. */
     std::string journalKey() const;
 
     /**
@@ -193,29 +220,17 @@ class SweepCampaign
 
     /** The campaign's jobs in deterministic order (baselines
      *  first, then pair x level). */
-    std::vector<SupervisorJob> jobs() const;
+    std::vector<CampaignJob> jobs() const;
 
-    /** Every valid job id (journal validation on resume). */
-    std::set<std::string> jobIds() const;
-
-    /** Assemble results from supervised outcomes, recording a
-     *  MissingCell for every cell that did not complete. */
+    /** Assemble results from job outcomes, recording a MissingCell
+     *  for every cell that did not complete. */
     CampaignResult aggregate(
         const std::vector<JobOutcome> &outcomes) const;
 
     /**
-     * Convenience wrapper: build the jobs, open/create the journal
-     * at `journal_path` (resume appends; otherwise the file is
-     * recreated), supervise, aggregate.
-     */
-    CampaignResult run(const SupervisorConfig &scfg,
-                       const std::string &journal_path,
-                       bool resume) const;
-
-    /**
-     * Test hook, invoked in the forked child at the start of every
-     * attempt. The fault-injection scenarios use it to hang, kill
-     * or typed-fail specific jobs.
+     * Test hook, invoked at the start of every attempt (in the
+     * forked child, or on the pool thread). The fault-injection
+     * scenarios use it to hang, kill or typed-fail specific jobs.
      */
     void setAttemptHook(
         std::function<void(const std::string &job_id,

@@ -129,7 +129,7 @@ class SOE_THREAD_OWNED(supervisor) System
     /**
      * Deliberately not part of MachineConfig: fast-forward changes
      * wall-clock speed only, never results, so it must not perturb
-     * config fingerprints (sweep journals, eval caches).
+     * config fingerprints (campaign keys, eval caches).
      */
     bool fastForward SOE_THREAD_OWNED(sim) = true;
     std::uint64_t ffJumps SOE_THREAD_OWNED(sim) = 0;

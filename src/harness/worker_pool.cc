@@ -13,7 +13,7 @@
 #include <thread>
 #include <vector>
 
-#include "harness/sweep.hh"
+#include "harness/job_exit.hh"
 #include "sim/errors.hh"
 #include "sim/logging.hh"
 
@@ -59,7 +59,7 @@ struct SOE_THREAD_OWNED(worker) LiveClaim
 struct SOE_THREAD_OWNED(worker) PoolShared
 {
     const WorkerPoolConfig &cfg;
-    const std::map<std::string, SupervisorJob> &bodies;
+    const std::map<std::string, CampaignJob> &bodies;
 
     AnnotatedMutex lock SOE_THREAD_OWNED(worker);
     WorkerPoolStats stats SOE_GUARDED_BY(lock);
@@ -72,7 +72,7 @@ struct SOE_THREAD_OWNED(worker) PoolShared
     std::atomic<bool> workersDone SOE_THREAD_OWNED(worker){false};
 
     PoolShared(const WorkerPoolConfig &config,
-               const std::map<std::string, SupervisorJob> &b)
+               const std::map<std::string, CampaignJob> &b)
         : cfg(config), bodies(b)
     {}
 
@@ -100,11 +100,10 @@ struct SOE_THREAD_OWNED(worker) PoolShared
 };
 
 /**
- * One worker thread: claim a pristine batch under one flock round,
- * run each job in-process on thread-local simulator state, commit
- * through the cache + queue. Exits when no pristine job is
- * claimable — retries and reclaimed jobs belong to the caller's
- * fork-per-job phase.
+ * One worker thread: whenever idle, claim one pristine job, run it
+ * in-process on thread-local simulator state, commit through the
+ * cache + queue. Exits when no pristine job is claimable — retries
+ * and reclaimed jobs belong to the caller's fork-per-job phase.
  */
 void
 workerMain(PoolShared &sh, unsigned index)
@@ -157,25 +156,9 @@ workerMain(PoolShared &sh, unsigned index)
             progress(claim.job.id + ": attempt " +
                      std::to_string(claim.attempt) +
                      " (in-process)");
-            int code = 0;
-            payload.clear();
-            try {
-                payload = it->second.run(claim.attempt);
-            } catch (const SimError &e) {
-                // The job's defined failure. In fork mode the child
-                // _exits with this code; map it the same way so the
-                // committed failure record is identical.
-                code = e.exitCode();
-            } catch (const FatalError &) {
-                code = 1;
-            } catch (...) {
-                // Internal bug (PanicError, AuditError, ...): the
-                // forked child exits 3 here.
-                code = 3;
-            }
-
-            const std::string cls =
-                SweepSupervisor::classifyExitCode(code);
+            const int code =
+                runJobBody(it->second.run, claim.attempt, payload);
+            const std::string cls = classifyExitCode(code);
             if (cls.empty()) {
                 // Cache before committing: even if the lease was
                 // lost, the payload is valid and deterministic —
@@ -198,8 +181,7 @@ workerMain(PoolShared &sh, unsigned index)
 
             const std::string detail =
                 "exit code " + std::to_string(code);
-            const bool transient =
-                SweepSupervisor::isTransient(cls);
+            const bool transient = isTransient(cls);
             if (queue.fail(claim, cls, detail, transient,
                            epochNow())) {
                 local.failed++;
@@ -214,42 +196,19 @@ workerMain(PoolShared &sh, unsigned index)
             }
         };
 
-        const std::size_t batch =
-            std::max<std::size_t>(1, sh.cfg.batch);
-        while (!sh.stopRequested()) {
-            std::vector<LeaseClaim> claims;
-            if (queue.claimBatch(name, epochNow(),
-                                 sh.cfg.leaseSeconds, batch, claims,
-                                 /*pristine_only=*/true) == 0)
-                break; // nothing pristine left: pool phase is done
-
-            // Publish the batch to the heartbeat thread.
-            std::vector<std::shared_ptr<LiveClaim>> mine;
-            mine.reserve(claims.size());
+        LeaseClaim claim;
+        while (!sh.stopRequested() &&
+               queue.claim(name, epochNow(), sh.cfg.leaseSeconds,
+                           claim, /*pristine_only=*/true)) {
+            // Publish the lease to the heartbeat thread.
+            auto lc = std::make_shared<LiveClaim>();
+            lc->claim = claim;
             {
                 AnnotatedLock g(sh.lock);
-                for (const auto &c : claims) {
-                    auto lc = std::make_shared<LiveClaim>();
-                    lc->claim = c;
-                    mine.push_back(lc);
-                    sh.live.push_back(lc);
-                }
+                sh.live.push_back(lc);
             }
-
-            for (std::size_t i = 0; i < claims.size(); ++i) {
-                if (sh.stopRequested()) {
-                    // Graceful stop: hand unstarted claims back
-                    // un-consumed; they rerun at the same attempt.
-                    queue.release(claims[i]);
-                    local.released++;
-                    sh.unregister(mine[i]);
-                    progress(claims[i].job.id +
-                             ": lease released (shutdown)");
-                    continue;
-                }
-                runOne(claims[i], *mine[i]);
-                sh.unregister(mine[i]);
-            }
+            runOne(claim, *lc);
+            sh.unregister(lc);
         }
         if (sh.stopRequested())
             local.stopped = true;
@@ -266,7 +225,6 @@ workerMain(PoolShared &sh, unsigned index)
     sh.stats.fromCache += local.fromCache;
     sh.stats.failed += local.failed;
     sh.stats.leasesLost += local.leasesLost;
-    sh.stats.released += local.released;
     sh.stats.stopped = sh.stats.stopped || local.stopped;
     sh.stats.cache.hits += local.cache.hits;
     sh.stats.cache.misses += local.cache.misses;
@@ -328,11 +286,10 @@ heartbeatMain(PoolShared &sh)
 
 WorkerPool::WorkerPool(
     const WorkerPoolConfig &config,
-    const std::map<std::string, SupervisorJob> &job_bodies)
+    const std::map<std::string, CampaignJob> &job_bodies)
     : cfg(config), bodies(job_bodies)
 {
     cfg.threads = std::max(1u, cfg.threads);
-    cfg.batch = std::max(1u, cfg.batch);
 }
 
 WorkerPoolStats

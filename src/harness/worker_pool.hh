@@ -6,10 +6,11 @@
  * child, a pipe, and at least two flock/fsync rounds per job. For
  * short sweep jobs that dispatch overhead — not simulation work —
  * caps throughput. The WorkerPool removes it: N OS threads each
- * claim a *batch* of K jobs from the durable queue under one flock
- * round (JobQueue::claimBatch), run them through thread-local
- * Runner/System instances, and commit results through the shared
- * content-addressed result cache.
+ * claim one job from the durable queue whenever they are idle, run
+ * it through thread-local Runner/System instances, and commit the
+ * result through the shared content-addressed result cache. A
+ * thread never holds a job it is not running, so no job waits
+ * behind another inside one thread.
  *
  * Isolation is preserved by policy, not abandoned:
  *
@@ -21,8 +22,9 @@
  *  - a worker thread that trips a SimError quarantines (or fails)
  *    only its job: the exception is caught at the job boundary,
  *    mapped to the taxonomy's exit code and classified with the
- *    exact function the fork path applies to dead children, so the
- *    committed failure record is byte-identical either way;
+ *    exact functions the fork path applies to dead children
+ *    (runJobBody, classifyExitCode), so the committed failure
+ *    record is byte-identical either way;
  *  - one dedicated heartbeat thread renews every live lease in the
  *    pool with a single flock'd append per tick
  *    (JobQueue::renewBatch); a lost lease abandons just that job.
@@ -43,9 +45,9 @@
  * drains — golden-tested in tests/test_worker_pool.cc and CI-gated.
  *
  * Graceful stop (SIGTERM via stopFlag): each worker finishes the
- * job it is simulating (a thread cannot be killed safely), releases
- * its remaining claimed-but-unstarted leases un-consumed, and
- * exits; the jobs return to pending at the same attempt number.
+ * job it is simulating (a thread cannot be killed safely) and
+ * claims no further job; unclaimed jobs stay pending at the same
+ * attempt number.
  */
 
 // detlint: conc-optin — this file is the multithreaded executor;
@@ -63,7 +65,7 @@
 
 #include "harness/service/queue.hh"
 #include "harness/service/result_cache.hh"
-#include "harness/supervisor.hh"
+#include "harness/sweep.hh"
 #include "sim/annotations.hh"
 
 namespace soefair
@@ -86,8 +88,6 @@ struct WorkerPoolConfig
     std::string workerName SOE_THREAD_OWNED(worker) = "worker";
     /** Pool size (>= 1). */
     unsigned threads SOE_THREAD_OWNED(worker) = 1;
-    /** Jobs claimed per flock round by each thread (>= 1). */
-    unsigned batch SOE_THREAD_OWNED(worker) = 4;
     double leaseSeconds SOE_THREAD_OWNED(worker) = 60.0;
     /** Heartbeat-thread tick; <= 0 means leaseSeconds / 3. */
     double heartbeatSeconds SOE_THREAD_OWNED(worker) = 0.0;
@@ -105,8 +105,6 @@ struct WorkerPoolStats
     unsigned failed SOE_THREAD_OWNED(worker) = 0;
     /** Leases lost mid-run (result discarded or cached only). */
     unsigned leasesLost SOE_THREAD_OWNED(worker) = 0;
-    /** Claims handed back un-consumed on graceful stop. */
-    unsigned released SOE_THREAD_OWNED(worker) = 0;
     /** True when the pool exited on the stop flag, not drain. */
     bool stopped SOE_THREAD_OWNED(worker) = false;
     /** Sum of the per-thread cache instances' stats. */
@@ -123,7 +121,7 @@ class SOE_THREAD_OWNED(worker) WorkerPool
      * job body constructs its own Runner/System.
      */
     WorkerPool(const WorkerPoolConfig &config,
-               const std::map<std::string, SupervisorJob> &bodies);
+               const std::map<std::string, CampaignJob> &bodies);
 
     /**
      * Run the pool until no pristine job is claimable (or the stop
@@ -136,7 +134,7 @@ class SOE_THREAD_OWNED(worker) WorkerPool
 
   private:
     WorkerPoolConfig cfg SOE_THREAD_OWNED(worker);
-    const std::map<std::string, SupervisorJob> &bodies;
+    const std::map<std::string, CampaignJob> &bodies;
 };
 
 } // namespace service

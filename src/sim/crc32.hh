@@ -1,8 +1,8 @@
 /**
  * @file
  * CRC-32 (IEEE 802.3, polynomial 0xEDB88320, reflected) used to
- * guard durable on-disk records — journal lines, queue segments and
- * result-cache payloads — against silent corruption. A checksum
+ * guard durable on-disk records — queue segments, the campaign
+ * manifest and result-cache payloads — against silent corruption. A checksum
  * mismatch is a *defined* failure (CheckpointError or an evict-and-
  * recompute, depending on the consumer), never silently-parsed
  * garbage.

@@ -152,7 +152,7 @@ class ConnectionLost : public SimError
  * Map a process exit code back to the SimError class name that
  * produces it ("input", "estimator", "watchdog", "checkpoint",
  * "protocol", "quota", "connection"), or nullptr when the code
- * belongs to no SimError class. The sweep supervisor uses this to
+ * belongs to no SimError class. The sweep worker uses this to
  * classify dead child processes without parsing their output.
  */
 const char *simErrorKindNameForExit(int exit_code);

@@ -1,13 +1,13 @@
 /**
  * @file
  * The precision codec: every floating-point value that feeds a
- * deterministic artifact (journal payloads, CSV cells, job labels,
+ * deterministic artifact (queued payloads, CSV cells, job labels,
  * the stats dump, progress lines that tests grep) is formatted here,
  * and only here.
  *
  * Why a codec instead of `os << value`: stream-state precision is
  * set far from where values are printed, so one added `setprecision`
- * upstream silently changes journal fingerprints and golden CSV
+ * upstream silently changes campaign fingerprints and golden CSV
  * bytes. These helpers are locale-free (the simulator never calls
  * setlocale; DET-001 enforces that) and independent of any stream
  * state, so the byte format of emitted floats is pinned at the call
@@ -16,7 +16,7 @@
  *
  * Tiers:
  *  - full(): 17 significant digits ("%.17g") — round-trips every
- *    double exactly. Journal payloads, sweep caches, campaign keys:
+ *    double exactly. Queued payloads, sweep caches, campaign keys:
  *    anything that is parsed back or fingerprinted.
  *  - csv():  6 significant digits ("%.6g", the historical ostream
  *    default) — CSV cells, job labels, progress lines. Matches what

@@ -3,7 +3,7 @@
  * Runtime determinism contract (docs/correctness.md, "Determinism &
  * concurrency contracts"): the same seed run twice in-process — a
  * fresh System/Runner each time — must produce byte-identical sweep
- * payloads (the exact strings the journal records and the CSV
+ * payloads (the exact strings the job queue records and the CSV
  * emitters aggregate). detlint (DET-001..004) catches the *static*
  * ways this breaks; this test catches what no linter can see:
  * static-global state that leaks from one run into the next, e.g. a
@@ -45,7 +45,7 @@ smallRun()
 }
 
 /** One complete SOE run from a fresh Runner, reduced to the payload
- *  string the sweep journal would record. */
+ *  string the job queue would record. */
 std::string
 soePayload(const std::string &wl_a, const std::string &wl_b,
            std::uint64_t seed_a, std::uint64_t seed_b)

@@ -7,7 +7,7 @@
  * one run serially in-process must aggregate to byte-identical CSV.
  * Around it: escalation-to-fork for transient failures, poison-job
  * quarantine confined to the poisoned job, and graceful stop that
- * hands unstarted claims back un-consumed.
+ * leaves unstarted jobs un-consumed.
  */
 
 #include <gtest/gtest.h>
@@ -116,14 +116,13 @@ TEST(WorkerPool, ThreadedForkAndSerialDrainsAreByteIdentical)
     EXPECT_EQ(fws.completed, 4u);
     EXPECT_EQ(fws.fromCache, 0u);
 
-    // Threaded drain, 2 pool threads x batch 2, fresh queue + cache
-    // (no shared cache: every payload must be recomputed, so the
-    // comparison proves determinism, not cache plumbing).
+    // Threaded drain, 2 pool threads, fresh queue + cache (no shared
+    // cache: every payload must be recomputed, so the comparison
+    // proves determinism, not cache plumbing).
     TempDir tq("thr_q");
     TempDir tc("thr_c");
     auto thrCfg = quickConfig(tq.path, tc.path);
     thrCfg.threads = 2;
-    thrCfg.batch = 2;
     WorkerStats tws;
     const std::string thrCsv = drainToCsv(m, thrCfg, &tws);
     EXPECT_EQ(tws.completed, 4u);
@@ -224,15 +223,14 @@ TEST(WorkerPool, GracefulStopReleasesUnstartedClaimsUnconsumed)
     TempDir tc("stop_c");
     auto cfg = quickConfig(tq.path, tc.path);
     cfg.threads = 1;
-    cfg.batch = 8; // one flock round claims the whole campaign
     gPoolStop = 0;
     cfg.stopFlag = &gPoolStop;
 
     {
         SweepService svc(cfg);
-        // SIGTERM lands while the first job of the batch simulates:
-        // that job finishes (threads cannot be killed safely), the
-        // other claims go back un-consumed.
+        // SIGTERM lands while the first job simulates: that job
+        // finishes (threads cannot be killed safely), and the pool
+        // claims nothing more — the other jobs stay un-consumed.
         svc.setAttemptHook([](const std::string &, unsigned) {
             gPoolStop = 1;
         });
@@ -242,9 +240,9 @@ TEST(WorkerPool, GracefulStopReleasesUnstartedClaimsUnconsumed)
         EXPECT_EQ(ws.completed, 1u);
     }
 
-    // Resume with the flag cleared: the released jobs rerun at
+    // Resume with the flag cleared: the remaining jobs run at
     // attempt 1 (same seed), so the final CSV is byte-identical to
-    // the serial reference — a release consumed nothing.
+    // the serial reference — the stop consumed nothing.
     gPoolStop = 0;
     {
         SweepService svc(cfg);

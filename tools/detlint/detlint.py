@@ -162,8 +162,8 @@ OWN_DOMAINS = {
                "LP that owns the core (fetch/ROB/LSQ/L1/TLB...)",
     "shared": "bus/LLC-shared state crossed by multiple core LPs "
               "under the conservative lookahead window",
-    "supervisor": "supervisor/harness state: job control, journals, "
-                  "service and network front-end",
+    "supervisor": "supervisor/harness state: job control, the job "
+                  "queue, service and network front-end",
     "worker": "per-worker-thread state in the in-process sweep "
               "executor: each pool thread owns its own queue/cache "
               "handles and simulator instances",
@@ -1228,7 +1228,7 @@ def check_err002(ctx: TreeContext, records):
                     ERRORS_HH, line, "ERR-002",
                     f"SimError class '{name}' has no kind-name "
                     f"mapping ('case {name}::code:') in {ERRORS_CC}; "
-                    "the supervisor cannot classify its dead "
+                    "the sweep worker cannot classify its dead "
                     "children")
     if not ctx.error_classes:
         return

@@ -1,6 +1,6 @@
 // ERR-001 fixture: process exits and throws that bypass the
 // SimError exit-code taxonomy. Each one would produce an exit code
-// the supervisor cannot classify.
+// the sweep worker cannot classify.
 #include <cstdlib>
 #include <exception>
 

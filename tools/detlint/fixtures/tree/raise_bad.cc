@@ -1,6 +1,6 @@
 // ERR-002 tree fixture: raiseError<E> naming a class that
 // src/sim/errors.hh never declared — the failure would carry no
-// exit code the supervisor can classify.
+// exit code the sweep worker can classify.
 #include "sim/errors.hh"
 
 namespace soefair

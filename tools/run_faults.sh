@@ -121,14 +121,16 @@ else
     echo "ok: smoke SOE run is NaN-free"
 fi
 
-# --- 5. sweep supervisor fault scenarios ----------------------------
+# --- 5. sweep fault scenarios ---------------------------------------
 #
-# Both scenarios run a tiny two-cell campaign (gcc:eon at F=0,1/2 at
+# `sweep` runs on the job queue (enqueue + serve + aggregate). Both
+# runs use a tiny two-cell campaign (gcc:eon at F=0,1/2 at
 # SOEFAIR_SCALE=0.02) so each job takes well under a second
 # unsanitized and ~5-6 s under ASan. The deadline must stay well
 # above a healthy job's runtime -- a too-tight deadline kills real
 # work, not just the injected hang -- so the hang scenario uses 30 s
-# (4-5x a healthy ASan job) and everything else 120 s.
+# (4-5x a healthy ASan job) and everything else 120 s. (A torn
+# queue tail is covered by 6a.)
 
 SWEEP_ENV="env SOEFAIR_SCALE=0.02"
 SWEEP_ARGS="sweep --pairs gcc:eon --levels 0,0.5 --retries 2 --backoff 0.1"
@@ -138,60 +140,43 @@ SWEEP_DEADLINE=120
 ref="$SCRATCH/sweep_ref.csv"
 if ! timeout "$TIMEOUT_S" $SWEEP_ENV "$CLI" $SWEEP_ARGS \
         --deadline "$SWEEP_DEADLINE" \
-        --journal "$SCRATCH/ref.journal" --out "$ref" \
+        --queue "$SCRATCH/sweep_ref.queue" --out "$ref" \
         >/dev/null 2>&1; then
-    fail "supervisor: reference sweep failed"
+    fail "sweep: reference sweep failed"
 else
-    echo "ok: supervisor reference sweep complete"
+    echo "ok: sweep reference campaign complete"
 fi
 
 # 5a. Busy-hang past the deadline: the injected job must be killed,
-# retried, then recorded as MISSING; the campaign still finishes the
-# other cells and exits with the partial-results code. A --resume
-# without the injection completes it, byte-identical to the reference.
+# retried, then quarantined and recorded as MISSING; the campaign
+# still finishes the other cells and exits with the partial-results
+# code. A --resume without the injection re-admits the quarantined
+# job at attempt 1 and completes the campaign, byte-identical to the
+# reference.
 hangcsv="$SCRATCH/sweep_hang.csv"
-hj="$SCRATCH/hang.journal"
+hq="$SCRATCH/sweep_hang.queue"
 timeout "$TIMEOUT_S" $SWEEP_ENV "$CLI" $SWEEP_ARGS \
     --deadline 30 --inject 'soe:gcc:eon:F=0.5@hang@99' \
-    --journal "$hj" --out "$hangcsv" >/dev/null 2>&1
+    --queue "$hq" --out "$hangcsv" >/dev/null 2>&1
 got=$?
 if [ "$got" -ne 20 ]; then
-    fail "supervisor hang: exit $got, expected 20 (partial)"
+    fail "sweep hang: exit $got, expected 20 (partial)"
 elif ! grep -q 'MISSING(gcc:eon,F=0.5,deadline' "$hangcsv"; then
-    fail "supervisor hang: no MISSING(deadline) marker in CSV"
+    fail "sweep hang: no MISSING(deadline) marker in CSV"
     sed 's/^/    /' "$hangcsv" >&2
 else
-    echo "ok: supervisor hang scenario is partial with MISSING marker"
+    echo "ok: sweep hang scenario is partial with MISSING marker"
 fi
 hangres="$SCRATCH/sweep_hang_resumed.csv"
 if ! timeout "$TIMEOUT_S" $SWEEP_ENV "$CLI" $SWEEP_ARGS \
         --deadline "$SWEEP_DEADLINE" \
-        --resume "$hj" --out "$hangres" >/dev/null 2>&1; then
-    fail "supervisor hang: --resume exited nonzero"
+        --resume "$hq" --out "$hangres" >/dev/null 2>&1; then
+    fail "sweep hang: --resume exited nonzero"
 elif ! cmp -s "$ref" "$hangres"; then
-    fail "supervisor hang: resumed CSV differs from reference"
+    fail "sweep hang: resumed CSV differs from reference"
     diff "$ref" "$hangres" | sed 's/^/    /' >&2
 else
-    echo "ok: supervisor hang resume matches reference byte-for-byte"
-fi
-
-# 5b. Kill mid-journal-append: truncate the finished journal so its
-# last record is torn (as a SIGKILL between write() and the newline
-# would leave it). --resume must drop the torn tail, re-run only that
-# job, and reproduce the reference CSV exactly.
-tj="$SCRATCH/torn.journal"
-cp "$SCRATCH/ref.journal" "$tj"
-truncate -s -9 "$tj"
-tornres="$SCRATCH/sweep_torn.csv"
-if ! timeout "$TIMEOUT_S" $SWEEP_ENV "$CLI" $SWEEP_ARGS \
-        --deadline "$SWEEP_DEADLINE" \
-        --resume "$tj" --out "$tornres" >/dev/null 2>&1; then
-    fail "supervisor torn-journal: --resume exited nonzero"
-elif ! cmp -s "$ref" "$tornres"; then
-    fail "supervisor torn-journal: resumed CSV differs from reference"
-    diff "$ref" "$tornres" | sed 's/^/    /' >&2
-else
-    echo "ok: supervisor torn-journal resume matches reference"
+    echo "ok: sweep hang resume matches reference byte-for-byte"
 fi
 
 # --- 6. sweep service fault scenarios -------------------------------
@@ -497,9 +482,9 @@ stop_gateways
 #
 # The threaded drain must uphold the same golden contract as fork
 # mode: an in-thread SimError quarantines only its job with the
-# fork-identical failure record, a SIGKILL mid-batch leaves only
+# fork-identical failure record, a SIGKILL mid-run leaves only
 # expired leases behind (reclaimed at the same attempt), and a
-# graceful SIGTERM releases unstarted claims un-consumed — in every
+# graceful SIGTERM leaves unstarted jobs un-consumed — in every
 # recoverable case the final aggregate is byte-identical to the
 # reference.
 
@@ -512,7 +497,7 @@ THR_ARGS="--pairs gcc:eon --levels 0,0.5 --retries 2 --backoff 0.1"
 q8a="$SCRATCH/thr_q_poison"
 poisonout="$SCRATCH/thr_poison.csv"
 timeout "$TIMEOUT_S" $SWEEP_ENV "$CLI" drain $THR_ARGS \
-    --queue "$q8a" --threads 2 --batch 2 \
+    --queue "$q8a" --threads 2 \
     --inject 'soe:gcc:eon:F=0.5@input@99' \
     --deadline "$SWEEP_DEADLINE" --out "$poisonout" \
     >/dev/null 2>&1
@@ -527,14 +512,14 @@ else
          "fork-identical record"
 fi
 
-# 8b. SIGKILL mid-batch: the pool dies holding a batch of leases;
+# 8b. SIGKILL mid-run: the pool dies holding one lease per thread;
 # they expire and a fork-mode drain reclaims them at the same
 # attempt, reproducing the reference CSV exactly.
 q8b="$SCRATCH/thr_q_kill"
 timeout "$TIMEOUT_S" $SWEEP_ENV "$CLI" enqueue $THR_ARGS \
     --queue "$q8b" >/dev/null 2>&1
 timeout "$TIMEOUT_S" $SWEEP_ENV "$CLI" serve $THR_ARGS \
-    --queue "$q8b" --threads 2 --batch 4 --lease 3 \
+    --queue "$q8b" --threads 2 --lease 3 \
     --deadline "$SWEEP_DEADLINE" >/dev/null 2>&1 &
 serve_pid=$!
 sleep 1
@@ -553,14 +538,14 @@ else
 fi
 
 # 8c. Graceful SIGTERM: the pool finishes the jobs already running,
-# releases every unstarted claim un-consumed and exits 0; a
-# follow-up threaded drain reruns the released jobs at attempt 1 and
-# matches the reference byte-for-byte.
+# claims nothing more and exits 0; a follow-up threaded drain runs
+# the remaining jobs at attempt 1 and matches the reference
+# byte-for-byte.
 q8c="$SCRATCH/thr_q_term"
 timeout "$TIMEOUT_S" $SWEEP_ENV "$CLI" enqueue $THR_ARGS \
     --queue "$q8c" >/dev/null 2>&1
 timeout "$TIMEOUT_S" $SWEEP_ENV "$CLI" serve $THR_ARGS \
-    --queue "$q8c" --threads 1 --batch 8 \
+    --queue "$q8c" --threads 1 \
     --deadline "$SWEEP_DEADLINE" >/dev/null 2>&1 &
 serve_pid=$!
 sleep 1
@@ -572,7 +557,7 @@ if [ "$got" -ne 0 ]; then
 fi
 thrterm="$SCRATCH/thr_term.csv"
 if ! timeout "$TIMEOUT_S" $SWEEP_ENV "$CLI" drain $THR_ARGS \
-        --queue "$q8c" --threads 2 --batch 2 \
+        --queue "$q8c" --threads 2 \
         --deadline "$SWEEP_DEADLINE" --out "$thrterm" \
         >/dev/null 2>&1; then
     fail "threaded sigterm: follow-up drain exited nonzero"

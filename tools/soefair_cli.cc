@@ -14,14 +14,14 @@
  *   record-trace <bench>         record a workload to a trace file
  *                                (--out file, --instrs N, --seed S)
  *   sweep                        run benchmark pairs across F levels
- *                                under the crash-isolated supervisor
- *                                and emit CSV (--pairs a:b,c:d
- *                                defaults to the paper's 16; --out
- *                                file defaults to stdout). Exits 0
- *                                when every cell completed, 20 when
- *                                results are partial (gaps appear as
- *                                MISSING(...) lines), 21 when no
- *                                cell completed.
+ *                                on a fresh job queue (enqueue +
+ *                                serve + aggregate, like `drain`) and
+ *                                emit CSV (--pairs a:b,c:d defaults to
+ *                                the paper's 16; --out file defaults
+ *                                to stdout). Exits 0 when every cell
+ *                                completed, 20 when results are
+ *                                partial (gaps appear as MISSING(...)
+ *                                lines), 21 when no cell completed.
  *   enqueue                      durably enqueue a sweep campaign
  *                                into a job queue directory
  *                                (--queue DIR; sweep's --pairs /
@@ -75,12 +75,14 @@
  *                     SOEFAIR_FASTFORWARD=0 environment variable
  *                     does the same.
  *
- * sweep options (see docs/robustness.md for the supervisor):
+ * sweep options (see docs/robustness.md, "Campaigns run on the
+ * job queue"):
  *   --levels a,b,..   enforcement levels (default 0,0.25,0.5,1)
- *   --journal F       write-ahead journal path (default
- *                     soefair_sweep.journal; recreated per run)
- *   --resume F        resume from an existing journal: completed
- *                     jobs are replayed, the rest re-run
+ *   --queue DIR       job queue directory (default
+ *                     soefair_sweep.queue; recreated per run)
+ *   --resume DIR      finish the campaign in an existing queue:
+ *                     completed jobs are kept, quarantined jobs are
+ *                     re-admitted at attempt 1, the rest re-run
  *   --jobs N          parallel forked job slots (default 1)
  *   --threads N       in-process worker threads (default 0 = fork
  *                     only): first attempts run on a thread pool,
@@ -94,13 +96,15 @@
  *   --backoff S       base retry backoff in seconds (default 0.25)
  *   --inject SPEC     test hook: job@action[@maxAttempt] provokes
  *                     `action` (hang | kill | input | watchdog) in
- *                     the named job's child for attempts up to
+ *                     the named job's attempt for attempts up to
  *                     maxAttempt (default: all); repeatable
+ *   plus the service options below (--cache, --lease, ...)
  *
- * service options (enqueue / serve / drain; docs/robustness.md):
- *   --queue DIR       job queue directory (required)
+ * service options (sweep / enqueue / serve / drain;
+ * docs/robustness.md):
+ *   --queue DIR       job queue directory (required except for sweep)
  *   --cache DIR       content-addressed result cache directory
- *                     (serve/drain; empty disables the cache)
+ *                     (sweep/serve/drain; empty disables the cache)
  *   --capacity N      queue admission bound, 0 = unbounded (enqueue)
  *   --worker NAME     worker name recorded in lease records
  *   --lease S         lease duration in seconds (default 60); a
@@ -109,8 +113,6 @@
  *   --heartbeat S     lease renewal interval (default lease/3)
  *   --poll S          idle poll interval while other workers hold
  *                     live leases (default 0.5)
- *   --batch K         jobs claimed per flock round by each worker
- *                     thread (default 4; only with --threads)
  *   plus sweep's --jobs / --threads / --deadline / --retries /
  *   --backoff / --inject, which apply to the worker loop
  *
@@ -135,6 +137,7 @@
 
 #include <csignal>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -363,8 +366,8 @@ cmdRecordTrace(const CliOptions &opts)
     return 0;
 }
 
-/** One --inject spec: provoke `action` in `job`'s forked child for
- *  attempts up to `maxAttempt` (the supervisor test hook). */
+/** One --inject spec: provoke `action` in `job`'s attempts up to
+ *  `maxAttempt` (the SweepCampaign attempt hook). */
 struct InjectSpec
 {
     std::string job;
@@ -403,12 +406,12 @@ parseInjects(const CliOptions &opts, std::vector<InjectSpec> &out)
     return true;
 }
 
-/** Runs inside the forked job child (the supervisor attempt hook). */
+/** Runs at the start of a job attempt (the attempt hook). */
 void
 provokeInjectedFault(const InjectSpec &is)
 {
     if (is.action == "hang") {
-        // Busy-hang: only the supervisor's deadline SIGKILL ends it.
+        // Busy-hang: only the worker's deadline SIGKILL ends it.
         volatile std::uint64_t spin = 0;
         for (;;)
             spin = spin + 1;
@@ -457,71 +460,6 @@ campaignFromOpts(const CliOptions &opts,
     return true;
 }
 
-int
-cmdSweep(const CliOptions &opts)
-{
-    service::CampaignManifest manifest;
-    if (!campaignFromOpts(opts, manifest))
-        return 2;
-    const auto &pairs = manifest.pairs;
-    const auto &fLevels = manifest.levels;
-
-    std::vector<InjectSpec> injects;
-    if (!parseInjects(opts, injects))
-        return 2;
-
-    SweepCampaign campaign(MachineConfig::benchDefault(),
-                           manifest.rc, pairs, fLevels);
-    if (!injects.empty()) {
-        campaign.setAttemptHook(
-            [injects](const std::string &job, unsigned attempt) {
-                for (const auto &is : injects) {
-                    if (is.job == job && attempt <= is.maxAttempt)
-                        provokeInjectedFault(is);
-                }
-            });
-    }
-
-    SupervisorConfig scfg;
-    scfg.deadlineSeconds = opts.getDouble("deadline", 600.0);
-    scfg.maxAttempts = unsigned(opts.getUint("retries", 3));
-    scfg.backoffBaseSeconds = opts.getDouble("backoff", 0.25);
-    scfg.jobSlots = unsigned(opts.getUint("jobs", 1));
-    scfg.threads = unsigned(opts.getUint("threads", 0));
-    scfg.progress = &std::cerr;
-
-    const bool resume = opts.hasOption("resume");
-    const std::string journal = resume
-        ? opts.getString("resume", "")
-        : opts.getString("journal", "soefair_sweep.journal");
-
-    CampaignResult agg = campaign.run(scfg, journal, resume);
-
-    const std::string out = opts.getString("out", "");
-    if (out.empty()) {
-        writeCampaignCsv(std::cout, agg);
-    } else {
-        std::ofstream os(out);
-        if (!os) {
-            std::cerr << "cannot write '" << out << "'\n";
-            return 1;
-        }
-        writeCampaignCsv(os, agg);
-        std::cout << "wrote " << agg.results.size() << " pairs to "
-                  << out << "\n";
-    }
-
-    if (!agg.complete()) {
-        std::cerr << "[sweep] PARTIAL results: " << agg.missing.size()
-                  << " cell(s) missing (journal: " << journal
-                  << "; finish with `sweep --resume " << journal
-                  << "`)\n";
-        for (const auto &m : agg.missing)
-            std::cerr << "[sweep]   " << m.marker() << "\n";
-    }
-    return agg.exitCode();
-}
-
 /** Graceful-shutdown flag set by SIGTERM/SIGINT in serve/drain. */
 volatile std::sig_atomic_t gStopRequested = 0;
 
@@ -532,9 +470,10 @@ onStopSignal(int)
 }
 
 bool
-serviceConfigFrom(const CliOptions &opts, service::ServiceConfig &cfg)
+serviceConfigFrom(const CliOptions &opts, service::ServiceConfig &cfg,
+                  const std::string &default_queue = "")
 {
-    cfg.queueDir = opts.getString("queue", "");
+    cfg.queueDir = opts.getString("queue", default_queue);
     if (cfg.queueDir.empty()) {
         std::cerr << "--queue DIR is required\n";
         return false;
@@ -548,7 +487,6 @@ serviceConfigFrom(const CliOptions &opts, service::ServiceConfig &cfg)
     cfg.backoffBaseSeconds = opts.getDouble("backoff", 0.25);
     cfg.slots = unsigned(opts.getUint("jobs", 1));
     cfg.threads = unsigned(opts.getUint("threads", 0));
-    cfg.batch = unsigned(opts.getUint("batch", 4));
     cfg.capacity = unsigned(opts.getUint("capacity", 0));
     cfg.pollSeconds = opts.getDouble("poll", 0.5);
     cfg.progress = &std::cerr;
@@ -606,71 +544,14 @@ cmdServe(const CliOptions &opts)
     return runWorker(opts, svc, stats);
 }
 
-int
-cmdDrain(const CliOptions &opts)
-{
-    service::CampaignManifest manifest;
-    service::ServiceConfig cfg;
-    if (!campaignFromOpts(opts, manifest) ||
-        !serviceConfigFrom(opts, cfg))
-        return 2;
-
-    // Resuming an existing queue: its manifest defines the campaign,
-    // so `drain --queue DIR` alone finishes any interrupted campaign
-    // regardless of which --pairs/--levels created it.
-    if (service::JobQueue::exists(cfg.queueDir)) {
-        try {
-            manifest = service::loadManifest(cfg.queueDir);
-        } catch (const CheckpointError &) {
-            // Queue without a readable manifest: enqueueCampaign
-            // rewrites it from the options (key-checked).
-        }
-    }
-
-    service::SweepService svc(cfg);
-    const auto eq = svc.enqueueCampaign(manifest);
-
-    service::WorkerStats stats;
-    int rc = runWorker(opts, svc, stats);
-    if (rc != 0)
-        return rc;
-
-    service::SweepService agger(cfg);
-    CampaignResult agg = agger.aggregate();
-
-    const std::string out = opts.getString("out", "");
-    if (out.empty()) {
-        writeCampaignCsv(std::cout, agg);
-    } else {
-        std::ofstream os(out);
-        if (!os) {
-            std::cerr << "cannot write '" << out << "'\n";
-            return 1;
-        }
-        writeCampaignCsv(os, agg);
-        std::cout << "wrote " << agg.results.size() << " pairs to "
-                  << out << "\n";
-    }
-
-    if (!agg.complete()) {
-        std::cerr << "[drain] PARTIAL results: " << agg.missing.size()
-                  << " cell(s) missing (queue: " << cfg.queueDir
-                  << "; finish with `drain --queue " << cfg.queueDir
-                  << "`)\n";
-        for (const auto &m : agg.missing)
-            std::cerr << "[drain]   " << m.marker() << "\n";
-    }
-    if (eq.rejected && agg.complete())
-        return service::exitQueueSaturated;
-    return agg.exitCode();
-}
-
-namespace net = service::net;
-
-/** Shared CSV emission for sweep-shaped aggregates. */
+/**
+ * Shared CSV emission for campaign aggregates. A partial campaign
+ * lists its MISSING cells on stderr, with `resume_cmd` (when given)
+ * as the command that finishes it.
+ */
 int
 emitAggregate(const CliOptions &opts, const CampaignResult &agg,
-              const char *tag)
+              const char *tag, const std::string &resume_cmd = "")
 {
     const std::string out = opts.getString("out", "");
     if (out.empty()) {
@@ -687,12 +568,113 @@ emitAggregate(const CliOptions &opts, const CampaignResult &agg,
     }
     if (!agg.complete()) {
         std::cerr << "[" << tag << "] PARTIAL results: "
-                  << agg.missing.size() << " cell(s) missing\n";
+                  << agg.missing.size() << " cell(s) missing";
+        if (!resume_cmd.empty())
+            std::cerr << " (finish with `" << resume_cmd << "`)";
+        std::cerr << "\n";
         for (const auto &m : agg.missing)
             std::cerr << "[" << tag << "]   " << m.marker() << "\n";
     }
     return agg.exitCode();
 }
+
+/**
+ * The one campaign path behind `sweep` and `drain`: enqueue the
+ * campaign (idempotent), optionally re-admit quarantined jobs,
+ * serve the queue, aggregate it and emit the CSV. An existing
+ * queue's manifest defines the campaign, so finishing an
+ * interrupted one needs only its directory, whichever --pairs /
+ * --levels created it.
+ */
+int
+runCampaign(const CliOptions &opts, service::CampaignManifest manifest,
+            const service::ServiceConfig &cfg, bool readmit,
+            const char *tag, const std::string &resume_cmd)
+{
+    if (service::JobQueue::exists(cfg.queueDir)) {
+        try {
+            manifest = service::loadManifest(cfg.queueDir);
+        } catch (const CheckpointError &) {
+            // Queue without a readable manifest: enqueueCampaign
+            // rewrites it from the options (key-checked).
+        }
+    }
+
+    service::SweepService svc(cfg);
+    const auto eq = svc.enqueueCampaign(manifest);
+    if (readmit)
+        svc.readmitQuarantined();
+
+    service::WorkerStats stats;
+    if (const int rc = runWorker(opts, svc, stats); rc != 0)
+        return rc;
+
+    const int rc =
+        emitAggregate(opts, svc.aggregate(), tag, resume_cmd);
+    return rc == 0 && eq.rejected ? service::exitQueueSaturated : rc;
+}
+
+/**
+ * `sweep` starts a fresh campaign: the queue a previous run left in
+ * `dir` is replaced. Anything else already at `dir` is left alone.
+ */
+bool
+recreateQueueDir(const std::string &dir)
+{
+    namespace fs = std::filesystem;
+    std::error_code ec;
+    if (!fs::exists(dir, ec))
+        return true;
+    if (!service::JobQueue::exists(dir) && !fs::is_empty(dir, ec)) {
+        std::cerr << "sweep: '" << dir << "' exists and is not a job "
+                  << "queue; refusing to replace it\n";
+        return false;
+    }
+    fs::remove_all(dir, ec);
+    if (ec) {
+        std::cerr << "sweep: cannot remove '" << dir
+                  << "': " << ec.message() << "\n";
+        return false;
+    }
+    return true;
+}
+
+int
+cmdSweep(const CliOptions &opts)
+{
+    service::CampaignManifest manifest;
+    service::ServiceConfig cfg;
+    if (!campaignFromOpts(opts, manifest) ||
+        !serviceConfigFrom(opts, cfg, "soefair_sweep.queue"))
+        return 2;
+
+    const bool resume = opts.hasOption("resume");
+    if (resume) {
+        cfg.queueDir = opts.getString("resume", "");
+        if (!service::JobQueue::exists(cfg.queueDir)) {
+            raiseError<CheckpointError>("sweep --resume: no job queue "
+                                        "at '", cfg.queueDir, "'");
+        }
+    } else if (!recreateQueueDir(cfg.queueDir)) {
+        return 2;
+    }
+    return runCampaign(opts, manifest, cfg, /*readmit=*/resume,
+                       "sweep", "sweep --resume " + cfg.queueDir);
+}
+
+int
+cmdDrain(const CliOptions &opts)
+{
+    service::CampaignManifest manifest;
+    service::ServiceConfig cfg;
+    if (!campaignFromOpts(opts, manifest) ||
+        !serviceConfigFrom(opts, cfg))
+        return 2;
+    return runCampaign(opts, manifest, cfg, /*readmit=*/false, "drain",
+                       "drain --queue " + cfg.queueDir);
+}
+
+namespace net = service::net;
 
 int
 cmdGateway(const CliOptions &opts)
