@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "harness/env.hh"
-#include "harness/service/net/client.hh"
 #include "harness/service/service.hh"
 #include "sim/errors.hh"
 #include "sim/logging.hh"
@@ -127,28 +126,6 @@ drainLocally(const service::CampaignManifest &manifest,
     return svc.aggregate();
 }
 
-/**
- * Opt-in remote mode (SOEFAIR_GATEWAY=unix:/path or tcp:host:port):
- * submit the campaign to a sweep gateway and stream its cells back.
- * The aggregate is byte-identical to the local drain by contract,
- * so the figure drivers cannot tell the difference.
- */
-CampaignResult
-drainViaGateway(const service::CampaignManifest &manifest,
-                const std::string &server)
-{
-    service::net::ClientConfig cfg;
-    cfg.server = server;
-    cfg.tenant = env::getOr("SOEFAIR_TENANT", "eval");
-    cfg.progress = &std::cerr;
-    service::net::GatewayClient client(cfg);
-    const service::net::SubmitReceipt receipt =
-        client.submit(manifest);
-    std::cerr << "[eval] streaming campaign " << receipt.key
-              << " from " << server << "\n";
-    return client.watch(manifest);
-}
-
 } // namespace
 
 EvalData
@@ -169,10 +146,7 @@ evaluationData()
         return data;
     }
 
-    const std::string gateway = env::getOr("SOEFAIR_GATEWAY", "");
-    CampaignResult agg = gateway.empty()
-                             ? drainLocally(manifest, cacheFile)
-                             : drainViaGateway(manifest, gateway);
+    CampaignResult agg = drainLocally(manifest, cacheFile);
 
     // Figure drivers index every standard level, so only fully
     // complete pairs are safe to hand them.

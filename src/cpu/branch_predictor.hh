@@ -24,14 +24,13 @@
 #include "isa/micro_op.hh"
 #include "sim/types.hh"
 #include "stats/stats.hh"
-#include "sim/annotations.hh"
 
 namespace soefair
 {
 namespace cpu
 {
 
-struct SOE_THREAD_OWNED(config) BranchPredictorConfig
+struct BranchPredictorConfig
 {
     /** gshare pattern-history table entries (2-bit counters). */
     unsigned phtEntries = 16 * 1024;
@@ -42,7 +41,7 @@ struct SOE_THREAD_OWNED(config) BranchPredictorConfig
     unsigned btbAssoc = 4;
 };
 
-class SOE_THREAD_OWNED(core_lp) BranchPredictor
+class BranchPredictor
 {
   public:
     BranchPredictor(const BranchPredictorConfig &config,

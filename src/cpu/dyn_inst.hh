@@ -28,14 +28,13 @@
 #include "cpu/branch_predictor.hh"
 #include "isa/micro_op.hh"
 #include "sim/types.hh"
-#include "sim/annotations.hh"
 
 namespace soefair
 {
 namespace cpu
 {
 
-struct SOE_THREAD_OWNED(value) DynInst
+struct DynInst
 {
     // Small fields first so they share one word after `op`: the ROB
     // copies every dispatched DynInst once, so padding costs time.

@@ -15,14 +15,13 @@
 
 #include "isa/micro_op.hh"
 #include "sim/types.hh"
-#include "sim/annotations.hh"
 
 namespace soefair
 {
 namespace cpu
 {
 
-struct SOE_THREAD_OWNED(config) FuPoolConfig
+struct FuPoolConfig
 {
     unsigned intAlu = 3;
     unsigned intMul = 1;
@@ -34,7 +33,7 @@ struct SOE_THREAD_OWNED(config) FuPoolConfig
     unsigned memPorts = 2;
 };
 
-class SOE_THREAD_OWNED(core_lp) FuPool
+class FuPool
 {
   public:
     explicit FuPool(const FuPoolConfig &config);

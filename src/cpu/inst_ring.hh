@@ -27,14 +27,13 @@
 
 #include "cpu/dyn_inst.hh"
 #include "sim/logging.hh"
-#include "sim/annotations.hh"
 
 namespace soefair
 {
 namespace cpu
 {
 
-class SOE_THREAD_OWNED(core_lp) InstRing
+class InstRing
 {
   public:
     explicit InstRing(std::size_t capacity)

@@ -25,14 +25,13 @@
 
 #include "cpu/dyn_inst.hh"
 #include "sim/logging.hh"
-#include "sim/annotations.hh"
 
 namespace soefair
 {
 namespace cpu
 {
 
-class SOE_THREAD_OWNED(core_lp) IssueQueue
+class IssueQueue
 {
   public:
     /**

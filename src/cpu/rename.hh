@@ -16,14 +16,13 @@
 
 #include "cpu/dyn_inst.hh"
 #include "isa/micro_op.hh"
-#include "sim/annotations.hh"
 
 namespace soefair
 {
 namespace cpu
 {
 
-class SOE_THREAD_OWNED(core_lp) RenameTable
+class RenameTable
 {
   public:
     RenameTable() { clear(); }

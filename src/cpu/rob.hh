@@ -15,14 +15,13 @@
 #include "cpu/inst_ring.hh"
 #include "sim/invariant.hh"
 #include "sim/logging.hh"
-#include "sim/annotations.hh"
 
 namespace soefair
 {
 namespace cpu
 {
 
-class SOE_THREAD_OWNED(core_lp) Rob
+class Rob
 {
   public:
     explicit Rob(unsigned capacity) : entries(capacity) {}

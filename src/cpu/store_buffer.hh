@@ -19,14 +19,13 @@
 #include "sim/invariant.hh"
 #include "sim/types.hh"
 #include "stats/stats.hh"
-#include "sim/annotations.hh"
 
 namespace soefair
 {
 namespace cpu
 {
 
-class SOE_THREAD_OWNED(core_lp) StoreBuffer
+class StoreBuffer
 {
   public:
     StoreBuffer(unsigned capacity, mem::Hierarchy &hierarchy,

@@ -60,26 +60,6 @@ workerOptions()
 }
 
 std::vector<CliVerbOption>
-clientOptions()
-{
-    return {
-        {"--server ADDR",
-         "gateway address, unix:/path or tcp:host:port (required)"},
-        {"--tenant NAME", "tenant for quota accounting (default)"},
-        {"--timeout S", "per-request/stream receive timeout (10)"},
-        {"--connect-timeout S", "connection timeout (5)"},
-        {"--attempts N",
-         "consecutive connection failures tolerated (8)"},
-        {"--client-backoff S",
-         "base client retry backoff in seconds (0.1)"},
-        {"--retry-later N",
-         "RETRY_LATER answers tolerated before giving up (64)"},
-        {"--no-retry",
-         "fail immediately on RETRY_LATER (exit 15 on quota)"},
-    };
-}
-
-std::vector<CliVerbOption>
 concat(std::vector<CliVerbOption> a,
        const std::vector<CliVerbOption> &b)
 {
@@ -93,8 +73,7 @@ const char *exitSim =
     "12 watchdog; 13 checkpoint";
 const char *exitCampaign =
     "0 complete; 20 partial (MISSING cells); 21 nothing completed; "
-    "22 complete but jobs were rejected at enqueue; 2 usage; "
-    "1 fatal; 13 checkpoint";
+    "2 usage; 1 fatal; 13 checkpoint";
 
 std::vector<CliVerb>
 buildVerbs()
@@ -153,7 +132,6 @@ buildVerbs()
     const std::vector<CliVerbOption> serviceOpts = {
         {"--cache DIR",
          "content-addressed result cache (empty disables)"},
-        {"--capacity N", "queue admission bound, 0 = unbounded"},
         {"--worker NAME", "worker name recorded in lease records"},
         {"--lease S", "lease duration in seconds (default 60)"},
         {"--heartbeat S", "lease renewal interval (default lease/3)"},
@@ -185,8 +163,7 @@ buildVerbs()
          concat(concat(concat(runOptions(), campaignOptions()),
                        workerOptions()),
                 concat(queueOpt, serviceOpts)),
-         "0 ok; 22 admission control rejected jobs (queue at "
-         "capacity); 2 usage; 13 checkpoint"});
+         "0 ok; 2 usage; 13 checkpoint"});
 
     verbs.push_back(
         {"serve", "serve --queue DIR [options]",
@@ -205,85 +182,6 @@ buildVerbs()
                 concat(concat(queueOpt, serviceOpts),
                        {{"--out F", "CSV output path (stdout)"}})),
          exitCampaign});
-
-    verbs.push_back(
-        {"gateway", "gateway --listen ADDR --root DIR [options]",
-         "network front-end of the sweep service: accepts framed "
-         "submit/watch/status requests, enforces tenant quotas and "
-         "backlog bounds with RETRY_LATER backpressure, streams "
-         "results, degrades to read-only when the root is not "
-         "writable, forks workers to drain campaigns; SIGTERM is a "
-         "graceful stop that resumes from durable state on restart",
-         {{"--listen ADDR",
-           "unix:/path or tcp:host:port; port 0 = ephemeral "
-           "(required)"},
-          {"--root DIR",
-           "gateway root: campaign queues + result cache (required)"},
-          {"--quota N",
-           "per-tenant bound on open jobs, 0 = unbounded"},
-          {"--max-campaigns N",
-           "bound on undrained campaigns, 0 = unbounded"},
-          {"--capacity N", "per-campaign queue admission bound"},
-          {"--no-workers",
-           "do not fork drain workers (backpressure tests)"},
-          {"--jobs N", "worker job slots (default 1)"},
-          {"--retries N", "worker attempt budget (default 3)"},
-          {"--backoff S", "worker retry backoff base (0.25)"},
-          {"--lease S", "worker lease seconds (60)"},
-          {"--deadline S", "worker per-attempt deadline (600)"},
-          {"--retry-ms N",
-           "backoff suggested in RETRY_LATER replies (200)"},
-          {"--addr-file F",
-           "write the resolved listen address to F (ephemeral "
-           "ports)"}},
-         "0 stopped gracefully; 2 usage; 10 bad address; "
-         "16 bind/listen failure"});
-
-    verbs.push_back(
-        {"submit", "submit --server ADDR [options]",
-         "submit a campaign to a gateway (idempotent, retrying) "
-         "and, unless --no-watch, stream its results and emit the "
-         "same CSV as sweep",
-         concat(concat(concat(runOptions(), campaignOptions()),
-                       clientOptions()),
-                {{"--no-watch",
-                  "enqueue only; do not stream results"},
-                 {"--out F", "CSV output path (stdout)"}}),
-         "0 complete; 20 partial; 21 nothing completed; 2 usage; "
-         "14 protocol error; 15 quota exceeded; 16 connection lost "
-         "after retries"});
-
-    verbs.push_back(
-        {"watch", "watch --server ADDR [--key KEY] [options]",
-         "stream a submitted campaign's results (resuming across "
-         "reconnects) and emit CSV; --key fetches the manifest from "
-         "the gateway, otherwise --pairs/--levels select it",
-         concat(concat(concat(runOptions(), campaignOptions()),
-                       clientOptions()),
-                {{"--key KEY",
-                  "campaign key printed by submit"},
-                 {"--out F", "CSV output path (stdout)"}}),
-         "0 complete; 20 partial; 21 nothing completed; 2 usage; "
-         "14 protocol error; 15 quota exceeded; "
-         "16 connection lost after retries"});
-
-    verbs.push_back(
-        {"chaosproxy",
-         "chaosproxy --listen ADDR --upstream ADDR [options]",
-         "deterministic fault-injecting proxy for gateway testing: "
-         "drops, delays, duplicates, corrupts, truncates and resets "
-         "forwarded traffic from a seeded schedule, then becomes "
-         "transparent once the fault budget is spent",
-         {{"--listen ADDR", "proxy listen address (required)"},
-          {"--upstream ADDR", "real gateway address (required)"},
-          {"--seed N", "fault schedule seed (default 1)"},
-          {"--fault-rate X", "per-chunk fault probability (0.25)"},
-          {"--max-faults N", "total fault budget (default 6)"},
-          {"--max-delay-ms N", "delay action upper bound (40)"},
-          {"--addr-file F",
-           "write the resolved listen address to F"}},
-         "0 stopped gracefully; 2 usage; 10 bad address; "
-         "16 bind/listen failure"});
 
     verbs.push_back(
         {"analytic", "analytic [options]",
@@ -307,7 +205,7 @@ buildVerbs()
            "run the bare faulting path so the process exits with "
            "the SimError's code"}},
          "0 all passed; 1 scenario failed; 2 usage; with --raw, the "
-         "provoked class's exit code (10..16)"});
+         "provoked class's exit code (10..13)"});
 
     return verbs;
 }
@@ -340,8 +238,7 @@ printCliHelp(std::ostream &os)
         os << "  " << verb.name << "\n      " << verb.description
            << "\n";
     os << "\nrun `soefair_cli help <command>` for options and exit "
-          "codes;\nsee docs/robustness.md for the failure taxonomy "
-          "and gateway protocol\n";
+          "codes;\nsee docs/robustness.md for the failure taxonomy\n";
 }
 
 void
@@ -365,7 +262,7 @@ runWithExitCodeMapping(const std::function<int()> &body)
         return body();
     } catch (const SimError &e) {
         // Typed, defined failure: each class has its own exit code
-        // (10..16; see sim/errors.hh and docs/robustness.md). The
+        // (10..13; see sim/errors.hh and docs/robustness.md). The
         // message was printed when the error was raised.
         return e.exitCode();
     } catch (const AuditError &e) {

@@ -51,7 +51,7 @@ void printCliVerbHelp(std::ostream &os, const CliVerb &verb);
 /**
  * Run a CLI verb body under the canonical failure-to-exit-code
  * mapping: a thrown SimError becomes its class's exit code
- * (10..16), FatalError becomes 1, PanicError and AuditError become
+ * (10..13), FatalError becomes 1, PanicError and AuditError become
  * 3. Every failure path of soefair_cli funnels through this one
  * function, and tests/test_exit_codes.cc round-trips each SimError
  * class through it — so the mapping a scripted caller observes is

@@ -528,16 +528,6 @@ JobQueue::enqueue(const QueueJob &job)
     refreshLocked();
     if (jobs.count(job.id))
         return EnqueueResult::Duplicate;
-    if (cfg.capacity > 0) {
-        unsigned open = 0;
-        for (const auto &[id, js] : jobs) {
-            if (js.phase == JobPhase::Pending ||
-                js.phase == JobPhase::Leased)
-                ++open;
-        }
-        if (open >= cfg.capacity)
-            return EnqueueResult::Rejected;
-    }
     std::ostringstream os;
     os << "{\"op\":\"enqueue\",\"job\":\"" << jsonlEscape(job.id)
        << "\",\"fp\":\"" << jsonlEscape(job.fingerprint)

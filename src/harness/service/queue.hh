@@ -49,11 +49,7 @@
  *    transient failures, after a single permanent failure, or after
  *    maxAttempts lost leases (a poison job that kills its worker
  *    every time never loops forever). A `readmit` record returns a
- *    quarantined job to pending at attempt 1 (`sweep --resume`);
- *  - enqueue admission control: with a nonzero capacity, enqueueing
- *    beyond `capacity` open (pending + leased) jobs is rejected —
- *    backpressure the producer can see, instead of an unbounded
- *    queue.
+ *    quarantined job to pending at attempt 1 (`sweep --resume`).
  */
 
 #ifndef SOEFAIR_HARNESS_SERVICE_QUEUE_HH
@@ -73,10 +69,6 @@ namespace service
 
 /** Queue format version written/accepted by this build. */
 constexpr int queueVersion = 1;
-
-/** `soefair_cli enqueue` exit code when admission control rejected
- *  at least one job (queue at capacity). */
-constexpr int exitQueueSaturated = 22;
 
 /** One unit of queued work. */
 struct QueueJob
@@ -122,8 +114,6 @@ struct JobStatus
 
 struct QueueConfig
 {
-    /** Bound on open (pending + leased) jobs; 0 = unbounded. */
-    unsigned capacity = 0;
     /** Committed transient failures before quarantine (>= 1); also
      *  the bound on lost leases before a job is presumed poison. */
     unsigned maxAttempts = 3;
@@ -148,7 +138,6 @@ enum class EnqueueResult
 {
     Added,     ///< new job durably enqueued
     Duplicate, ///< job id already known (idempotent re-enqueue)
-    Rejected,  ///< admission control: queue at capacity
 };
 
 class JobQueue

@@ -16,6 +16,7 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <map>
 #include <sstream>
 
 #include "harness/job_exit.hh"
@@ -106,6 +107,13 @@ campaignFromManifest(const CampaignManifest &m)
                          m.pairs, m.levels);
 }
 
+namespace
+{
+
+/**
+ * Flat string fields of a manifest, the encoding of its on-disk
+ * line: pairs, levels, measure, warm, twarm, maxcyc, ff.
+ */
 std::map<std::string, std::string>
 manifestToFields(const CampaignManifest &m)
 {
@@ -132,6 +140,8 @@ manifestToFields(const CampaignManifest &m)
     return f;
 }
 
+/** Rebuild a manifest from its flat fields; raises CheckpointError
+ *  (mentioning `where`) on malformed pairs/levels. */
 CampaignManifest
 manifestFromFields(const std::map<std::string, std::string> &f,
                    const std::string &where)
@@ -167,9 +177,6 @@ manifestFromFields(const std::map<std::string, std::string> &f,
     m.rc.fastForward = field(f, "ff") != "0";
     return m;
 }
-
-namespace
-{
 
 std::string
 manifestLine(const CampaignManifest &m)
@@ -267,7 +274,6 @@ SweepService::enqueueCampaign(const CampaignManifest &m)
     const std::string key = campaign.journalKey();
 
     QueueConfig qcfg;
-    qcfg.capacity = cfg.capacity;
     qcfg.maxAttempts = cfg.maxAttempts;
     qcfg.backoffBaseSeconds = cfg.backoffBaseSeconds;
 
@@ -307,19 +313,13 @@ SweepService::enqueueCampaign(const CampaignManifest &m)
           case EnqueueResult::Duplicate:
             stats.duplicates++;
             break;
-          case EnqueueResult::Rejected:
-            stats.rejected++;
-            warn("service: queue '", cfg.queueDir,
-                 "' at capacity; job '", job.id,
-                 "' rejected (backpressure)");
-            break;
         }
     }
     if (cfg.progress) {
         std::ostringstream os;
         os << "[service] enqueued " << stats.added << " job(s) ("
-           << stats.duplicates << " already queued, "
-           << stats.rejected << " rejected) into " << cfg.queueDir;
+           << stats.duplicates << " already queued) into "
+           << cfg.queueDir;
         logging::printLine(*cfg.progress, os.str());
     }
     return stats;
@@ -335,7 +335,6 @@ SweepService::serve()
     const std::string key = campaign.journalKey();
 
     QueueConfig qcfg;
-    qcfg.capacity = cfg.capacity;
     qcfg.maxAttempts = cfg.maxAttempts;
     qcfg.backoffBaseSeconds = cfg.backoffBaseSeconds;
 

@@ -9,7 +9,7 @@
  *    JSON line in the queue directory that lets a later process
  *    rebuild the exact SweepCampaign) and enqueues every campaign
  *    job, carrying each job's content-address fingerprint and base
- *    seed. Admission control applies (QueueConfig::capacity);
+ *    seed;
  *  - `serve` is the worker loop, and the campaign's only fork loop
  *    (`sweep`, `drain` and the figure benches all run it). With
  *    ServiceConfig::threads > 0 it first drains pristine
@@ -42,7 +42,6 @@
 
 #include <csignal>
 #include <functional>
-#include <map>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -76,20 +75,6 @@ struct CampaignManifest
 
 /** Build the campaign a manifest describes. */
 SweepCampaign campaignFromManifest(const CampaignManifest &m);
-
-/**
- * Flat string fields of a manifest (the serialization both the
- * on-disk manifest line and the gateway wire protocol use):
- * pairs, levels, measure, warm, twarm, maxcyc, ff.
- */
-std::map<std::string, std::string>
-manifestToFields(const CampaignManifest &m);
-
-/** Rebuild a manifest from its flat fields; raises CheckpointError
- *  (mentioning `where`) on malformed pairs/levels. */
-CampaignManifest
-manifestFromFields(const std::map<std::string, std::string> &f,
-                   const std::string &where);
 
 /** Write `<queue_dir>/manifest.jsonl` (atomic replace). */
 void writeManifest(const std::string &queue_dir,
@@ -129,8 +114,6 @@ struct ServiceConfig
      * the two modes by the determinism contract.
      */
     unsigned threads = 0;
-    /** Queue admission bound (0 = unbounded). */
-    unsigned capacity = 0;
     /** Idle poll interval while other workers hold leases. */
     double pollSeconds = 0.5;
     std::ostream *progress = nullptr;
@@ -142,8 +125,6 @@ struct EnqueueStats
 {
     unsigned added = 0;
     unsigned duplicates = 0;
-    /** Jobs refused by admission control (backpressure). */
-    unsigned rejected = 0;
 };
 
 struct WorkerStats

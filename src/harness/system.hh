@@ -5,8 +5,8 @@
  */
 
 // detlint: conc-optin — System owns the exact state step() mutates;
-// every member is tagged with the logical-process domain PDES will
-// shard it into (CONC-001, see src/sim/annotations.hh).
+// every member is tagged with its owner, the one thread that runs
+// this System (CONC-001, see src/sim/annotations.hh).
 
 #ifndef SOEFAIR_HARNESS_SYSTEM_HH
 #define SOEFAIR_HARNESS_SYSTEM_HH
@@ -32,7 +32,7 @@ namespace harness
 {
 
 /** One hardware thread's workload. */
-struct SOE_THREAD_OWNED(config) ThreadSpec
+struct ThreadSpec
 {
     workload::Profile profile SOE_THREAD_OWNED(sim);
     std::uint64_t seed SOE_THREAD_OWNED(sim) = 1;
@@ -61,7 +61,7 @@ struct SOE_THREAD_OWNED(config) ThreadSpec
     }
 };
 
-class SOE_THREAD_OWNED(supervisor) System
+class System
 {
   public:
     System(const MachineConfig &config,

@@ -48,7 +48,7 @@ sleepMs(unsigned ms)
  * heartbeat thread through the registry. `lost` flows heartbeat ->
  * worker: the renewal failed, the result must be discarded.
  */
-struct SOE_THREAD_OWNED(worker) LiveClaim
+struct LiveClaim
 {
     /** Written once by the owning worker before publication. */
     LeaseClaim claim SOE_THREAD_OWNED(worker);
@@ -56,7 +56,7 @@ struct SOE_THREAD_OWNED(worker) LiveClaim
 };
 
 /** State shared by the worker threads and the heartbeat thread. */
-struct SOE_THREAD_OWNED(worker) PoolShared
+struct PoolShared
 {
     const WorkerPoolConfig &cfg;
     const std::map<std::string, CampaignJob> &bodies;

@@ -52,8 +52,8 @@
 
 // detlint: conc-optin — this file is the multithreaded executor;
 // every mutable member below carries a capability annotation or an
-// ownership-domain tag (CONC-001), and the pool classes belong to
-// the `worker` domain (see docs/correctness.md).
+// ownership tag (CONC-001); single-owner members carry the `worker`
+// tag (see docs/correctness.md).
 
 #ifndef SOEFAIR_HARNESS_WORKER_POOL_HH
 #define SOEFAIR_HARNESS_WORKER_POOL_HH
@@ -111,7 +111,7 @@ struct WorkerPoolStats
     ResultCache::Stats cache SOE_THREAD_OWNED(worker);
 };
 
-class SOE_THREAD_OWNED(worker) WorkerPool
+class WorkerPool
 {
   public:
     /**

@@ -8,9 +8,9 @@
  * slot. This is where co-running threads' memory traffic contends.
  */
 
-// detlint: conc-optin — the bus is the contention point PDES will
-// turn into a shared logical process; its members are tagged with
-// their ownership domain (CONC-001, see src/sim/annotations.hh).
+// detlint: conc-optin — the bus is where co-running hardware
+// threads contend; its members are tagged with the one OS thread
+// that owns them (CONC-001, see src/sim/annotations.hh).
 
 #ifndef SOEFAIR_MEM_BUS_HH
 #define SOEFAIR_MEM_BUS_HH
@@ -24,7 +24,7 @@ namespace soefair
 namespace mem
 {
 
-class SOE_THREAD_OWNED(shared) Bus
+class Bus
 {
   public:
     Bus(unsigned occupancy_cycles, statistics::Group *stats_parent);

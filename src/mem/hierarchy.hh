@@ -8,8 +8,8 @@
  */
 
 // detlint: conc-optin — the hierarchy is shared between all hardware
-// threads today and becomes the memory-side logical process under
-// PDES; members carry ownership-domain tags (CONC-001).
+// threads of one System and owned by the OS thread running it;
+// members carry ownership tags (CONC-001).
 
 #ifndef SOEFAIR_MEM_HIERARCHY_HH
 #define SOEFAIR_MEM_HIERARCHY_HH
@@ -30,7 +30,7 @@ namespace soefair
 namespace mem
 {
 
-struct SOE_THREAD_OWNED(config) HierarchyConfig
+struct HierarchyConfig
 {
     CacheConfig l1i SOE_THREAD_OWNED(sim){"l1i", 32 * 1024, 8, 3, 4};
     CacheConfig l1d SOE_THREAD_OWNED(sim){"l1d", 32 * 1024, 8, 3, 8};
@@ -46,7 +46,7 @@ struct SOE_THREAD_OWNED(config) HierarchyConfig
 };
 
 /** Combined outcome of a data or fetch access (TLB + caches). */
-struct SOE_THREAD_OWNED(value) HierAccessResult
+struct HierAccessResult
 {
     Tick completion SOE_THREAD_OWNED(sim) = 0;
     bool retry SOE_THREAD_OWNED(sim) = false;
@@ -64,7 +64,7 @@ struct SOE_THREAD_OWNED(value) HierAccessResult
     bool tlbWalked SOE_THREAD_OWNED(sim) = false;
 };
 
-class SOE_THREAD_OWNED(shared) Hierarchy
+class Hierarchy
 {
   public:
     Hierarchy(const HierarchyConfig &config, EventQueue &event_queue,

@@ -15,14 +15,13 @@
 #include "mem/bus.hh"
 #include "mem/request.hh"
 #include "stats/stats.hh"
-#include "sim/annotations.hh"
 
 namespace soefair
 {
 namespace mem
 {
 
-class SOE_THREAD_OWNED(shared) Memory : public MemLevel
+class Memory : public MemLevel
 {
   public:
     Memory(unsigned latency_cycles, Bus &front_bus,

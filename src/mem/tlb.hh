@@ -21,14 +21,13 @@
 
 #include "mem/request.hh"
 #include "stats/stats.hh"
-#include "sim/annotations.hh"
 
 namespace soefair
 {
 namespace mem
 {
 
-struct SOE_THREAD_OWNED(config) TlbConfig
+struct TlbConfig
 {
     std::string name = "tlb";
     unsigned entries = 64;
@@ -36,7 +35,7 @@ struct SOE_THREAD_OWNED(config) TlbConfig
     unsigned walkCycles = 10;
 };
 
-struct SOE_THREAD_OWNED(value) TlbResult
+struct TlbResult
 {
     /** Tick at which the translation is available. */
     Tick completion = 0;
@@ -46,7 +45,7 @@ struct SOE_THREAD_OWNED(value) TlbResult
     bool walkMemoryMiss = false;
 };
 
-class SOE_THREAD_OWNED(core_lp) Tlb
+class Tlb
 {
   public:
     Tlb(const TlbConfig &config, MemLevel &walk_level,

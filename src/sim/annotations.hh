@@ -1,7 +1,8 @@
 /**
  * @file
- * Thread-safety capability annotations for the simulator state that
- * PDES (ROADMAP item 2) will shard across logical processes.
+ * Thread-safety capability annotations for state that more than
+ * one thread may touch: the in-process sweep executor's pool
+ * (harness/worker_pool) and the per-thread simulator it runs.
  *
  * Two layers, both zero-cost at runtime:
  *
@@ -12,33 +13,15 @@
  *    `-Werror=thread-safety-analysis`); under every other compiler
  *    they expand to nothing.
  *
- * 2. `SOE_THREAD_OWNED(domain)` — an ownership-domain tag that
- *    expands to nothing under *every* compiler. It documents which
- *    logical process state will belong to once the engine runs on
- *    multiple OS threads, and it is consumed by two detlint rules:
- *
- *    - On a *member* it satisfies CONC-001 (in a conc-optin file
- *      every mutable member carries a capability annotation or an
- *      ownership tag).
- *    - On a *class head* — `class SOE_THREAD_OWNED(core_lp) Rob`
- *      — it assigns the whole class to a PDES sharding domain.
- *      detlint rule OWN-001 requires one on every mutable class in
- *      src/cpu, src/mem, src/soe and harness/System, and
- *      `--emit-ownership` compiles the tags into
- *      build/ownership.json, the machine-readable manifest the
- *      PDES decomposition (ROADMAP item 2) consumes.
- *
- *    Class-level domains (see tools/detlint/detlint.py OWN_DOMAINS):
- *      core_lp    per-core logical process (replicated per core)
- *      shared     bus/LLC/memory state shared across core LPs
- *      supervisor fork-based sweep/campaign driver state
- *      value      passive value/result type, owned by its holder
- *      config     immutable-after-construction configuration
- *
- *    Nested classes inherit the enclosing class's domain unless
- *    tagged themselves. When state becomes genuinely shared, the
- *    tag is replaced by `SOE_GUARDED_BY(lock)` and the compiler
- *    takes over enforcement from the linter.
+ * 2. `SOE_THREAD_OWNED(domain)` — a member-level ownership tag that
+ *    expands to nothing under *every* compiler. It names the one
+ *    thread that owns a mutable member (`sim`: the thread running
+ *    that System; `worker`: one pool thread) and satisfies detlint
+ *    rule CONC-001: in a conc-optin file every mutable member
+ *    carries a capability annotation or this tag. When state
+ *    becomes genuinely shared, the tag is replaced by
+ *    `SOE_GUARDED_BY(lock)` and the compiler takes over enforcement
+ *    from the linter.
  *
  * The `AnnotatedMutex` / `AnnotatedLock` wrappers below are the
  * capability-carrying lock types future shared state must use —
@@ -102,10 +85,10 @@
     SOE_TSA(no_thread_safety_analysis)
 
 /**
- * Ownership-domain tag for single-owner mutable state (see file
+ * Ownership tag for a single-owner mutable member (see file
  * comment). Expands to nothing under every compiler; consumed by
  * detlint rule CONC-001. `domain` is a bare identifier naming the
- * logical process that owns the member: `sim`, `supervisor`, ...
+ * thread that owns the member: `sim` or `worker`.
  */
 #define SOE_THREAD_OWNED(domain)
 

@@ -15,12 +15,6 @@ SimError::exitCode() const
         return WatchdogTimeout::code;
       case Kind::Checkpoint:
         return CheckpointError::code;
-      case Kind::Protocol:
-        return ProtocolError::code;
-      case Kind::Quota:
-        return QuotaExceeded::code;
-      case Kind::Connection:
-        return ConnectionLost::code;
     }
     return 1; // unreachable; keeps -Wreturn-type happy
 }
@@ -37,12 +31,6 @@ simErrorKindNameForExit(int exit_code)
         return "watchdog";
       case CheckpointError::code:
         return "checkpoint";
-      case ProtocolError::code:
-        return "protocol";
-      case QuotaExceeded::code:
-        return "quota";
-      case ConnectionLost::code:
-        return "connection";
       default:
         return nullptr;
     }
@@ -60,12 +48,6 @@ SimError::kindName() const
         return "watchdog";
       case Kind::Checkpoint:
         return "checkpoint";
-      case Kind::Protocol:
-        return "protocol";
-      case Kind::Quota:
-        return "quota";
-      case Kind::Connection:
-        return "connection";
     }
     return "unknown";
 }

@@ -16,8 +16,8 @@
  */
 
 // detlint: conc-optin — every mutable member below carries an
-// ownership-domain or capability annotation (CONC-001); this queue is
-// the per-logical-process structure PDES will shard first.
+// ownership or capability annotation (CONC-001): each System, and so
+// each event queue, is owned by the one thread that runs it.
 
 #ifndef SOEFAIR_SIM_EVENT_QUEUE_HH
 #define SOEFAIR_SIM_EVENT_QUEUE_HH

@@ -4,8 +4,6 @@
 #include <mutex>
 #include <ostream>
 
-#include "sim/annotations.hh"
-
 namespace soefair
 {
 namespace logging
@@ -23,7 +21,7 @@ namespace
  * cannot interleave output mid-line. Callers format the full string
  * first; the critical section is only the write itself.
  */
-struct SOE_THREAD_OWNED(shared) OutputSink
+struct OutputSink
 {
     std::mutex m;
 };

@@ -26,7 +26,6 @@
 #include "core/enforcer.hh"
 #include "core/estimator.hh"
 #include "sim/types.hh"
-#include "sim/annotations.hh"
 
 namespace soefair
 {
@@ -89,7 +88,7 @@ class MissOnlyPolicy : public SchedulingPolicy
 };
 
 /** The paper's fairness enforcement mechanism. */
-class SOE_THREAD_OWNED(core_lp) FairnessPolicy : public SchedulingPolicy
+class FairnessPolicy : public SchedulingPolicy
 {
   public:
     /**
@@ -134,7 +133,7 @@ class SOE_THREAD_OWNED(core_lp) FairnessPolicy : public SchedulingPolicy
 };
 
 /** Section 6 strawman: pure time sharing, no miss switching. */
-class SOE_THREAD_OWNED(core_lp) TimeSharePolicy : public SchedulingPolicy
+class TimeSharePolicy : public SchedulingPolicy
 {
   public:
     explicit TimeSharePolicy(Tick cycle_quota) : quota(cycle_quota) {}
@@ -156,7 +155,7 @@ class SOE_THREAD_OWNED(core_lp) TimeSharePolicy : public SchedulingPolicy
 };
 
 /** Fixed instruction quota on top of miss switching (ablation). */
-class SOE_THREAD_OWNED(core_lp) FixedQuotaPolicy : public SchedulingPolicy
+class FixedQuotaPolicy : public SchedulingPolicy
 {
   public:
     explicit FixedQuotaPolicy(double ipsw) : ipswQuota(ipsw) {}

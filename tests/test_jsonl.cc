@@ -1,7 +1,7 @@
 /**
  * @file
  * Adversarial tests for the flat-JSONL escape/seal/verify helpers
- * that every durable format and the gateway wire protocol build on:
+ * that every durable format builds on (queue, cache, manifest):
  * embedded newlines and quotes, NUL bytes, invalid UTF-8, records
  * past a mebibyte, payloads that contain the seal marker themselves,
  * and corruption/truncation detection.

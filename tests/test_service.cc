@@ -105,26 +105,6 @@ TEST(JobQueue, EnqueueClaimCompleteDrain)
     EXPECT_EQ(snap.at("b").payload, "payload-b");
 }
 
-TEST(JobQueue, CapacityAdmissionControl)
-{
-    TempDir td("capacity");
-    auto qc = quickQueueConfig();
-    qc.capacity = 2;
-    JobQueue q;
-    q.open(td.path, "key1", qc);
-
-    EXPECT_EQ(q.enqueue(mkJob("a")), EnqueueResult::Added);
-    EXPECT_EQ(q.enqueue(mkJob("b")), EnqueueResult::Added);
-    // Backpressure: the queue is full, the producer sees Rejected.
-    EXPECT_EQ(q.enqueue(mkJob("c")), EnqueueResult::Rejected);
-
-    // Completing a job frees a slot.
-    LeaseClaim c;
-    ASSERT_TRUE(q.claim("w0", 1000, 60.0, c));
-    EXPECT_TRUE(q.complete(c, "p"));
-    EXPECT_EQ(q.enqueue(mkJob("c")), EnqueueResult::Added);
-}
-
 TEST(JobQueue, LeaseExpiryReclaimsAtTheSameAttempt)
 {
     TempDir td("expiry");

@@ -47,16 +47,6 @@ Stats determinism:
   STAT-002 each statistics counter (parent, "name", "desc") is
            registered at most once per (parent, name) in a file.
 
-PDES ownership manifest:
-  OWN-001  every mutable class in src/cpu, src/mem, src/soe and
-           src/harness/system.* must carry a class-level
-           SOE_THREAD_OWNED(domain) sharding domain
-           (core_lp | shared | supervisor | worker | value | config).
-  OWN-002  the `todo` placeholder domain (written by --fix) must not
-           survive into the tree.
-  `--emit-ownership PATH` writes the machine-readable manifest the
-  PDES decomposition consumes (see docs/correctness.md for schema).
-
 Backends
 --------
 The default backend is a dependency-free token analysis: comments and
@@ -81,10 +71,10 @@ Suppressions
 
 Autofix
 -------
-`--fix` rewrites mechanical findings in place: DET-004 member
-initializers, and missing SOE_THREAD_OWNED tags (OWN-001 / CONC-001)
-with the `todo` placeholder domain, which OWN-002 keeps flagging
-until a human picks the real domain. Fixing is idempotent.
+`--fix` rewrites one mechanical finding in place: a DET-004 member
+without an initializer. Every other finding (a CONC-001 member
+included) needs a human and is counted as not auto-fixable. Fixing
+is idempotent.
 
 Exit status: 0 clean (or all findings baselined), 1 new findings,
 2 usage/setup error.
@@ -119,9 +109,6 @@ RULES = {
     "STAT-001": "floating point feeding payload/CSV goes through the "
                 "statfmt codec",
     "STAT-002": "each statistics counter registered at most once",
-    "OWN-001": "mutable classes in the PDES scope carry a "
-               "SOE_THREAD_OWNED sharding domain",
-    "OWN-002": "no `todo` placeholder ownership domains in the tree",
 }
 
 # --- rule scopes (paths are '/'-separated, relative to the repo) ----
@@ -153,26 +140,6 @@ STAT001_WHITELIST = (
     "src/harness/table.cc",
 )
 STAT002_PREFIXES = ("src/",)
-OWN_DIRS = ("src/cpu/", "src/mem/", "src/soe/")
-OWN_EXTRA = ("src/harness/system.hh",)
-
-#: Sharding-domain vocabulary for the PDES ownership manifest.
-OWN_DOMAINS = {
-    "core_lp": "per-core logical process: state advanced only by the "
-               "LP that owns the core (fetch/ROB/LSQ/L1/TLB...)",
-    "shared": "bus/LLC-shared state crossed by multiple core LPs "
-              "under the conservative lookahead window",
-    "supervisor": "supervisor/harness state: job control, the job "
-                  "queue, service and network front-end",
-    "worker": "per-worker-thread state in the in-process sweep "
-              "executor: each pool thread owns its own queue/cache "
-              "handles and simulator instances",
-    "value": "value type passed between owners by copy/move; no "
-             "resident owner",
-    "config": "set before the run starts, immutable while LPs run",
-}
-OWN_PLACEHOLDER = "todo"
-
 #: Anchor files for the cross-file rules.
 ERRORS_HH = "src/sim/errors.hh"
 ERRORS_CC = "src/sim/errors.cc"
@@ -271,8 +238,8 @@ class Finding:
     line: int
     rule: str
     message: str
-    #: Optional autofix hint, e.g. ("init", " = 0") or
-    #: ("class-tag",) / ("member-tag",). Not part of identity.
+    #: Optional autofix hint, e.g. ("init", " = 0"). Not part of
+    #: identity.
     fixhint: tuple | None = None
 
     def format(self) -> str:
@@ -535,7 +502,7 @@ def check_stat002(path: str, text_keep: str):
             seen[key] = line
 
 
-# --- member parser (DET-004 / CONC-001 / FF-001 / OWN) --------------
+# --- member parser (DET-004 / CONC-001 / FF-001) --------------------
 
 
 @dataclass
@@ -565,7 +532,6 @@ class ClassInfo:
     members: list = dataclass_field(default_factory=list)
     methods: list = dataclass_field(default_factory=list)
     parent: "ClassInfo | None" = None
-    domain: str | None = None  # class-level SOE_THREAD_OWNED domain
 
     def qualified_name(self) -> str:
         parts = []
@@ -575,55 +541,23 @@ class ClassInfo:
             node = node.parent
         return "::".join(reversed(parts))
 
-    def effective_domain(self):
-        """(domain, inherited) walking up enclosing classes."""
-        node = self
-        inherited = False
-        while node is not None:
-            if node.domain is not None:
-                return node.domain, inherited
-            node = node.parent
-            inherited = True
-        return None, False
-
-    def mutable_members(self):
-        return [m for m in self.members
-                if not m.is_static and not m.is_const]
-
-
 _ANN_MARKER = {
     "SOE_GUARDED_BY": "__DETLINT_ANN_GUARDED__",
     "SOE_PT_GUARDED_BY": "__DETLINT_ANN_PTGUARDED__",
+    "SOE_THREAD_OWNED": "__DETLINT_ANN_OWNED__",
 }
-_ANN_OWNED_PREFIX = "__DETLINT_ANN_OWNED_"
-_ANN_OWNED_SUFFIX = "_DOM__"
-_ANN_OWNED_RE = re.compile(
-    re.escape(_ANN_OWNED_PREFIX) + r"(\w+?)" +
-    re.escape(_ANN_OWNED_SUFFIX))
-_ANN_CAPABILITY_MARKS = tuple(_ANN_MARKER.values()) + (
-    _ANN_OWNED_PREFIX,)
 
 
 def _mask_annotations(text: str) -> str:
     """Replace annotation macros (and their parenthesized argument)
     with paren-free marker tokens, so '(' detection in the member
-    parser is not confused. SOE_THREAD_OWNED keeps its domain inside
-    the marker (__DETLINT_ANN_OWNED_<domain>_DOM__) so class-level
-    ownership extraction still sees it. Newlines inside a masked span
-    are kept so line numbers stay stable."""
+    parser is not confused. Newlines inside a masked span are kept so
+    line numbers stay stable."""
     def make_repl(marker):
         def repl(m):
             return marker + "\n" * m.group(0).count("\n")
         return repl
 
-    def owned_repl(m):
-        arg = re.sub(r"\W+", "_", m.group(1).strip()).strip("_")
-        marker = (_ANN_OWNED_PREFIX + (arg or "none") +
-                  _ANN_OWNED_SUFFIX)
-        return marker + "\n" * m.group(0).count("\n")
-
-    text = re.sub(r"\bSOE_THREAD_OWNED\s*\(([^()]*)\)",
-                  owned_repl, text)
     for macro, marker in _ANN_MARKER.items():
         text = re.sub(r"\b" + macro + r"\s*\([^()]*\)",
                       make_repl(marker), text)
@@ -720,8 +654,7 @@ def _analyze_chunk(chunk: str, line: int, had_brace_init: bool,
         return None
     if re.match(r"^(class|struct|union)\b[^;]*$", s):
         return None  # forward declaration remnants
-    has_annotation = (any(m in s for m in _ANN_MARKER.values()) or
-                      _ANN_OWNED_PREFIX in s)
+    has_annotation = any(m in s for m in _ANN_MARKER.values())
     s_norm = _normalize_operators(s)
     parens = _top_level_positions(s_norm, "(")
     eqs = _top_level_positions(s_norm, "=")
@@ -774,8 +707,8 @@ def parse_classes(text: str):
     """Brace-tracking scan of (stripped, annotation-masked) C++
     yielding ClassInfo for every class/struct/union body, including
     nested ones. Records members, method names (declarations and
-    in-class definitions), the enclosing class, the head-chunk line
-    and any class-level SOE_THREAD_OWNED domain."""
+    in-class definitions), the enclosing class and the head-chunk
+    line."""
     classes = []
     # Scope stack entries: dict(kind=..., cls=ClassInfo or None)
     stack = [{"kind": "top", "cls": None}]
@@ -882,14 +815,11 @@ def parse_classes(text: str):
                     ids = [x for x in ids if x != "final" and
                            not x.startswith("__DETLINT_ANN")]
                     cname = ids[0] if ids else "<anonymous>"
-                    dm = _ANN_OWNED_RE.search(chunk_norm)
                     cls = ClassInfo(cname, cm[-1].group(1),
                                     line_of(text, i),
                                     head_line=line_of(text,
                                                       buf_start),
-                                    parent=enclosing_class(),
-                                    domain=(dm.group(1) if dm
-                                            else None))
+                                    parent=enclosing_class())
                     classes.append(cls)
                 elif starts_fn:
                     kind = "block"
@@ -1010,8 +940,7 @@ def check_conc001(path: str, text: str):
                 f"mutable member '{cls.name}::{m.name}' lacks a "
                 "capability/ownership annotation (SOE_GUARDED_BY / "
                 "SOE_PT_GUARDED_BY / SOE_THREAD_OWNED); this file is "
-                "conc-optin",
-                fixhint=("member-tag",))
+                "conc-optin")
 
 
 def check_ff001(path: str, text: str):
@@ -1073,80 +1002,6 @@ def check_ff002(path: str, text: str):
                 f"{why}; fast-forward would change its final value "
                 "and break byte-identical stats "
                 "(docs/performance.md)")
-
-
-def _own_in_scope(relpath: str) -> bool:
-    p = relpath.replace(os.sep, "/")
-    return ((p.startswith(OWN_DIRS) or p in OWN_EXTRA) and
-            p.endswith(HEADER_EXTENSIONS))
-
-
-def _own_classes(text: str):
-    """Classes the ownership manifest covers: anything mutable
-    (>= 1 non-static, non-const data member). Unions are storage
-    tricks, not LP state."""
-    for cls in parse_classes(text):
-        if cls.kind == "union":
-            continue
-        if not cls.mutable_members():
-            continue
-        yield cls
-
-
-def check_own(path: str, text: str):
-    for cls in _own_classes(text):
-        domain, inherited = cls.effective_domain()
-        if domain is None:
-            yield Finding(
-                path, cls.head_line, "OWN-001",
-                f"mutable class '{cls.qualified_name()}' has no "
-                "SOE_THREAD_OWNED(domain) sharding domain; the PDES "
-                "ownership manifest needs one of: " +
-                ", ".join(sorted(OWN_DOMAINS)),
-                fixhint=("class-tag",))
-        elif domain == OWN_PLACEHOLDER:
-            yield Finding(
-                path, cls.head_line, "OWN-002",
-                f"class '{cls.qualified_name()}' carries the 'todo' "
-                "placeholder domain"
-                + (" (inherited)" if inherited else "") +
-                "; replace it with the real sharding domain: " +
-                ", ".join(sorted(OWN_DOMAINS)))
-        elif domain not in OWN_DOMAINS:
-            yield Finding(
-                path, cls.head_line, "OWN-001",
-                f"class '{cls.qualified_name()}' declares unknown "
-                f"sharding domain '{domain}'; valid domains: " +
-                ", ".join(sorted(OWN_DOMAINS)))
-
-
-def ownership_manifest(records) -> dict:
-    """Machine-readable sharding-domain map for the PDES
-    decomposition (--emit-ownership). Covers every mutable class in
-    the OWN scope, including ones still missing a domain (domain
-    null) — the OWN-001 gate keeps those out of a green tree."""
-    classes = []
-    for rec in records:
-        if not _own_in_scope(rec.relpath):
-            continue
-        for cls in _own_classes(rec.masked):
-            domain, inherited = cls.effective_domain()
-            classes.append({
-                "class": cls.qualified_name(),
-                "kind": cls.kind,
-                "file": rec.relpath.replace(os.sep, "/"),
-                "line": cls.head_line,
-                "domain": domain,
-                "inherited": inherited,
-                "mutable_members": len(cls.mutable_members()),
-            })
-    classes.sort(key=lambda c: (c["file"], c["line"], c["class"]))
-    return {
-        "version": 1,
-        "generator": "detlint --emit-ownership",
-        "domains": OWN_DOMAINS,
-        "classes": classes,
-    }
 
 
 # --- tree context & cross-file rules (ERR-002 / ERR-003) ------------
@@ -1650,8 +1505,6 @@ def rule_applies(rule: str, relpath: str,
             p not in STAT001_WHITELIST
     if rule == "STAT-002":
         return p.startswith(STAT002_PREFIXES)
-    if rule in ("OWN-001", "OWN-002"):
-        return _own_in_scope(p)
     return False
 
 
@@ -1711,8 +1564,6 @@ def check_record(rec: FileRecord, root: str, backend: str,
         findings.extend(check_ff001(relpath, rec.masked))
     if rule_applies("FF-002", relpath):
         findings.extend(check_ff002(relpath, rec.stripped))
-    if rule_applies("OWN-001", relpath):
-        findings.extend(check_own(relpath, rec.masked))
 
     member_findings = None
     if backend == "libclang":
@@ -1794,38 +1645,13 @@ def discover_files(root: str):
 # --- autofix (--fix) ------------------------------------------------
 
 
-_CLASS_KEYWORD = re.compile(r"\b(class|struct)\b(?![^<]*>)")
-
-
-def _fix_line(kind, payload, content: str) -> str | None:
-    """Apply one fix to a line's content (no EOL); None = not
-    fixable here."""
-    if kind == "init":
-        if "=" in content or ";" not in content:
-            return None
-        semi = content.find(";")
-        return content[:semi] + payload + content[semi:]
-    if kind == "member-tag":
-        if "SOE_THREAD_OWNED" in content or \
-                "SOE_GUARDED_BY" in content:
-            return None
-        tag = f" SOE_THREAD_OWNED({OWN_PLACEHOLDER})"
-        if " = " in content:
-            return content.replace(" = ", tag + " = ", 1)
-        if ";" in content:
-            semi = content.find(";")
-            return content[:semi] + tag + content[semi:]
+def _fix_line(init: str, content: str) -> str | None:
+    """Insert a DET-004 initializer into a line's content (no EOL)
+    before its ';'; None = not fixable here."""
+    if "=" in content or ";" not in content:
         return None
-    if kind == "class-tag":
-        if "SOE_THREAD_OWNED" in content:
-            return None
-        m = _CLASS_KEYWORD.search(content)
-        if not m:
-            return None
-        return (content[:m.end()] +
-                f" SOE_THREAD_OWNED({OWN_PLACEHOLDER})" +
-                content[m.end():])
-    return None
+    semi = content.find(";")
+    return content[:semi] + init + content[semi:]
 
 
 def apply_fixes(root: str, findings):
@@ -1849,32 +1675,18 @@ def apply_fixes(root: str, findings):
             if not f.fixhint:
                 unfixable += 1
                 continue
-            kind, *rest = f.fixhint
-            payload = rest[0] if rest else None
-            # class-tag: the head line may be a `template <...>`
-            # line; scan forward for the class keyword.
-            target = None
-            if kind == "class-tag":
-                for ln in range(f.line, min(f.line + 5,
-                                            len(lines) + 1)):
-                    raw_line = lines[ln - 1]
-                    content = raw_line.rstrip("\r\n")
-                    if _CLASS_KEYWORD.search(content):
-                        target = ln
-                        break
-            else:
-                target = f.line
-            if target is None or target > len(lines):
+            _kind, init = f.fixhint
+            if f.line > len(lines):
                 unfixable += 1
                 continue
-            raw_line = lines[target - 1]
+            raw_line = lines[f.line - 1]
             eol = raw_line[len(raw_line.rstrip("\r\n")):]
             content = raw_line.rstrip("\r\n")
-            new_content = _fix_line(kind, payload, content)
+            new_content = _fix_line(init, content)
             if new_content is None:
                 unfixable += 1
                 continue
-            lines[target - 1] = new_content + eol
+            lines[f.line - 1] = new_content + eol
             changed = True
             fixed += 1
         if changed:
@@ -1955,7 +1767,7 @@ def main(argv=None) -> int:
         prog="detlint",
         description="cross-layer contract checker for soefair "
                     "(determinism, fast-forward, error-taxonomy, "
-                    "stats, PDES ownership)")
+                    "stats)")
     ap.add_argument("files", nargs="*",
                     help="files to check (default: the whole tree; "
                          "cross-file rules need their anchor files "
@@ -1978,13 +1790,9 @@ def main(argv=None) -> int:
                     help="rewrite the baseline with current findings")
     ap.add_argument("--json", default=None, metavar="PATH",
                     help="write findings as machine-readable JSON")
-    ap.add_argument("--emit-ownership", default=None, metavar="PATH",
-                    help="write the PDES ownership manifest "
-                         "(sharding domain per mutable class)")
     ap.add_argument("--fix", action="store_true",
                     help="rewrite mechanically fixable findings in "
-                         "place (DET-004 initializers, missing "
-                         "SOE_THREAD_OWNED tags)")
+                         "place (DET-004 initializers)")
     args = ap.parse_args(argv)
 
     if args.list_rules:
@@ -2013,20 +1821,8 @@ def main(argv=None) -> int:
     else:
         relpaths = discover_files(root)
 
-    findings, records = scan_tree(root, relpaths, backend,
-                                  args.compile_db)
-
-    if args.emit_ownership:
-        manifest = ownership_manifest(records)
-        os.makedirs(os.path.dirname(
-            os.path.abspath(args.emit_ownership)), exist_ok=True)
-        with open(args.emit_ownership, "w",
-                  encoding="utf-8") as f:
-            json.dump(manifest, f, indent=2, sort_keys=True)
-            f.write("\n")
-        print(f"detlint: ownership manifest with "
-              f"{len(manifest['classes'])} class(es) -> "
-              f"{args.emit_ownership}")
+    findings, _ = scan_tree(root, relpaths, backend,
+                            args.compile_db)
 
     if args.fix:
         fixed, unfixable = apply_fixes(root, findings)

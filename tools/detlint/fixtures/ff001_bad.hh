@@ -5,13 +5,12 @@
 #ifndef DETLINT_FIXTURE_FF001_BAD_HH
 #define DETLINT_FIXTURE_FF001_BAD_HH
 
-#include "sim/annotations.hh"
 #include "sim/types.hh"
 
 namespace soefair
 {
 
-class SOE_THREAD_OWNED(core_lp) DripCounter // BAD: no nextWakeTick()
+class DripCounter // BAD: no nextWakeTick()
 {
   public:
     void tick(Tick now);
@@ -20,7 +19,7 @@ class SOE_THREAD_OWNED(core_lp) DripCounter // BAD: no nextWakeTick()
     Tick drips = 0;
 };
 
-struct SOE_THREAD_OWNED(value) DripSnapshot
+struct DripSnapshot
 {
     // No tick(): passive value type, FF-001 does not apply.
     Tick total = 0;

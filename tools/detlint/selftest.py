@@ -37,8 +37,6 @@ PLACEMENTS = {
     "det002_clean.cc": ("src/harness/det002_clean.cc", "DET-002"),
     "det003_bad.cc": ("src/stats/det003_bad.cc", "DET-003"),
     "det003_clean.cc": ("src/stats/det003_clean.cc", "DET-003"),
-    # src/workload keeps DET-004 in scope without dragging in the
-    # OWN-001 ownership gate (src/cpu|mem|soe only).
     "det004_bad.hh": ("src/workload/det004_bad.hh", "DET-004"),
     "det004_clean.hh": ("src/workload/det004_clean.hh", "DET-004"),
     "conc001_bad.hh": ("src/sim/conc001_bad.hh", "CONC-001"),
@@ -53,10 +51,6 @@ PLACEMENTS = {
     "stat001_clean.cc": ("src/stats/stat001_clean.cc", "STAT-001"),
     "stat002_bad.cc": ("src/stats/stat002_bad.cc", "STAT-002"),
     "stat002_clean.cc": ("src/stats/stat002_clean.cc", "STAT-002"),
-    "own001_bad.hh": ("src/mem/own001_bad.hh", "OWN-001"),
-    "own001_clean.hh": ("src/mem/own001_clean.hh", "OWN-001"),
-    "own002_bad.hh": ("src/mem/own002_bad.hh", "OWN-002"),
-    "own002_clean.hh": ("src/mem/own002_clean.hh", "OWN-002"),
     "rawstring_bad.cc": ("src/sim/rawstring_bad.cc", "ERR-001"),
     "rawstring_clean.cc": ("src/sim/rawstring_clean.cc", "ERR-001"),
 }
@@ -137,12 +131,6 @@ class BadFixturesFire(TreeFixture):
 
     def test_stat002(self):
         self.assert_golden("stat002_bad.cc")
-
-    def test_own001(self):
-        self.assert_golden("own001_bad.hh")
-
-    def test_own002(self):
-        self.assert_golden("own002_bad.hh")
 
     def test_rawstring(self):
         # Raw string literals full of violation-looking text are
@@ -364,9 +352,8 @@ class CrlfRegression(unittest.TestCase):
 
 
 class AutofixMode(unittest.TestCase):
-    """--fix rewrites DET-004 initializers and missing
-    SOE_THREAD_OWNED class tags (with the todo placeholder), is
-    idempotent, and preserves line endings."""
+    """--fix rewrites DET-004 initializers, leaves every other finding
+    to a human, is idempotent, and preserves line endings."""
 
     SRC = ("#include \"sim/annotations.hh\"\n"
            "\n"
@@ -383,6 +370,14 @@ class AutofixMode(unittest.TestCase):
            "\n"
            "} // namespace soefair\n")
 
+    CONC_SRC = ("// detlint: conc-optin\n"
+                "#include \"sim/annotations.hh\"\n"
+                "\n"
+                "struct Shared\n"
+                "{\n"
+                "    int unguarded = 0;\n"
+                "};\n")
+
     def make_tree(self, text, dest="src/mem/fix_me.hh"):
         root = tempfile.mkdtemp(prefix="detlint_fix_")
         self.addCleanup(shutil.rmtree, root, ignore_errors=True)
@@ -392,13 +387,12 @@ class AutofixMode(unittest.TestCase):
             f.write(text)
         return root, dest, full
 
-    def test_fix_initializers_and_class_tag(self):
+    def test_fix_initializers(self):
         root, dest, full = self.make_tree(self.SRC)
         before = detlint.check_file(root, dest, "text", None)
-        self.assertEqual(
-            {"DET-004", "OWN-001"}, {f.rule for f in before})
+        self.assertEqual({"DET-004"}, {f.rule for f in before})
         fixed, unfixable = detlint.apply_fixes(root, before)
-        self.assertEqual(5, fixed)  # 4 initializers + 1 class tag
+        self.assertEqual(4, fixed)
         self.assertEqual(0, unfixable)
         with open(full, encoding="utf-8") as f:
             text = f.read()
@@ -406,12 +400,23 @@ class AutofixMode(unittest.TestCase):
         self.assertIn("double mean = 0.0;", text)
         self.assertIn("bool valid = false;", text)
         self.assertIn("void *cookie = nullptr;", text)
-        self.assertIn("struct SOE_THREAD_OWNED(todo) Sample", text)
-        # DET-004 and OWN-001 are gone; only the OWN-002 todo
-        # placeholder remains, keeping the gate red until a human
-        # assigns a real domain.
-        after = detlint.check_file(root, dest, "text", None)
-        self.assertEqual(["OWN-002"], [f.rule for f in after])
+        self.assertEqual(
+            [], detlint.check_file(root, dest, "text", None))
+
+    def test_fix_leaves_conc001_reported(self):
+        # Which capability guards a member is a human's call: --fix
+        # must not write a placeholder tag that silences CONC-001.
+        root, dest, full = self.make_tree(self.CONC_SRC,
+                                          dest="src/sim/shared.hh")
+        before = detlint.check_file(root, dest, "text", None)
+        self.assertEqual(["CONC-001"], [f.rule for f in before])
+        self.assertEqual((0, 1), detlint.apply_fixes(root, before))
+        with open(full, encoding="utf-8", newline="") as f:
+            self.assertEqual(self.CONC_SRC, f.read())
+        # End to end: the scan still fails after `--fix`.
+        gate = ["--root", root, "--backend", "text"]
+        self.assertEqual(0, detlint.main(gate + ["--fix"]))
+        self.assertEqual(1, detlint.main(gate))
 
     def test_fix_is_idempotent(self):
         root, dest, full = self.make_tree(self.SRC)
@@ -440,8 +445,8 @@ class AutofixMode(unittest.TestCase):
 
 
 class ReportArtifacts(unittest.TestCase):
-    """--json, --emit-ownership and the $GITHUB_STEP_SUMMARY drift
-    diff, end-to-end through main()."""
+    """--json and the $GITHUB_STEP_SUMMARY drift diff, end-to-end
+    through main()."""
 
     def setUp(self):
         self.root = tempfile.mkdtemp(prefix="detlint_report_")
@@ -492,32 +497,6 @@ class ReportArtifacts(unittest.TestCase):
         self.assertIn("detlint baseline drift", text)
         self.assertIn("new finding(s)", text)
         self.assertIn("+ src/core/err001_bad.cc", text)
-
-    def test_emit_ownership_manifest(self):
-        import json
-        src = os.path.join(self.root, "src", "mem")
-        os.makedirs(src)
-        shutil.copyfile(os.path.join(FIXTURES, "own001_clean.hh"),
-                        os.path.join(src, "own001_clean.hh"))
-        out = os.path.join(self.root, "ownership.json")
-        # err001_bad.cc still makes the scan exit 1; the manifest
-        # must be written regardless.
-        self.assertEqual(1, self.run_main("--emit-ownership", out))
-        with open(out, encoding="utf-8") as f:
-            manifest = json.load(f)
-        classes = {c["class"]: c for c in manifest["classes"]}
-        self.assertEqual("shared",
-                         classes["MshrLedger"]["domain"])
-        self.assertFalse(classes["MshrLedger"]["inherited"])
-        self.assertEqual("shared",
-                         classes["MshrLedger::Waiter"]["domain"])
-        self.assertTrue(classes["MshrLedger::Waiter"]["inherited"])
-        self.assertEqual("core_lp",
-                         classes["LedgerIndex"]["domain"])
-        # const-only classes are immutable: no manifest entry.
-        self.assertNotIn("LedgerLimits", classes)
-        self.assertIn("core_lp", manifest["domains"])
-
 
 class BaselineGate(unittest.TestCase):
     """End-to-end through main(): new findings fail, baselined

@@ -303,181 +303,6 @@ else
     echo "ok: service SIGTERM drain is graceful and resumable"
 fi
 
-# --- 7. gateway / wire-protocol fault scenarios ---------------------
-#
-# The network front-end must uphold the same golden contract as the
-# layers beneath it: a campaign submitted through a chaotic link
-# aggregates byte-identical to the reference drain; quota-exceeded
-# submits receive RETRY_LATER and succeed once the backlog drains
-# (or exit 15 when the retry budget runs out); and a mid-stream
-# gateway SIGTERM + restart resumes the watch stream with no
-# duplicated or missing cells.
-
-GW_PIDS=""
-stop_gateways() {
-    for p in $GW_PIDS; do
-        kill -TERM "$p" 2>/dev/null
-        wait "$p" 2>/dev/null
-    done
-    GW_PIDS=""
-}
-wait_sock() {
-    for _ in $(seq 100); do
-        [ -S "$1" ] && return 0
-        sleep 0.1
-    done
-    return 1
-}
-
-# 7a. Golden chaos gate: submit + watch through the fault-injecting
-# proxy. Drops, delays, duplicates, corruptions, truncations and
-# resets must all be absorbed by the retry/resume machinery — with
-# the retries observable — and the CSV must match the reference.
-GW_A="$SCRATCH/gwa.sock"
-PX_A="$SCRATCH/pxa.sock"
-$SWEEP_ENV "$CLI" gateway --listen "unix:$GW_A" \
-    --root "$SCRATCH/gwa_root" --retries 2 --backoff 0.1 \
-    >"$SCRATCH/gwa.log" 2>&1 &
-GW_PIDS="$GW_PIDS $!"
-"$CLI" chaosproxy --listen "unix:$PX_A" --upstream "unix:$GW_A" \
-    --seed 7 --fault-rate 0.4 --max-faults 10 \
-    >"$SCRATCH/pxa.log" 2>&1 &
-GW_PIDS="$GW_PIDS $!"
-if ! wait_sock "$GW_A" || ! wait_sock "$PX_A"; then
-    fail "gateway chaos: servers did not come up"
-fi
-chaoscsv="$SCRATCH/gw_chaos.csv"
-if ! timeout "$TIMEOUT_S" $SWEEP_ENV "$CLI" submit \
-        --server "unix:$PX_A" --pairs gcc:eon --levels 0,0.5 \
-        --timeout 3 --client-backoff 0.05 --out "$chaoscsv" \
-        >/dev/null 2>"$SCRATCH/gw_chaos.err"; then
-    fail "gateway chaos: submit through proxy exited nonzero"
-    sed 's/^/    /' "$SCRATCH/gw_chaos.err" >&2
-elif ! cmp -s "$svcref" "$chaoscsv"; then
-    fail "gateway chaos: CSV differs from reference"
-    diff "$svcref" "$chaoscsv" | sed 's/^/    /' >&2
-elif ! grep -q '\[client\] retry' "$SCRATCH/gw_chaos.err"; then
-    fail "gateway chaos: no client retries observed in the log"
-else
-    echo "ok: gateway chaos campaign matches reference" \
-         "($(grep -c '\[client\] retry' "$SCRATCH/gw_chaos.err")" \
-         "client retries)"
-fi
-stop_gateways
-
-# 7b. Tenant quota backpressure. Against a no-worker gateway whose
-# quota can never fit the campaign, the submit sees RETRY_LATER
-# answers and exits 15 once its budget is spent. Against a working
-# gateway with a one-campaign quota, a second submit defers and then
-# succeeds once the first campaign drains.
-GW_B="$SCRATCH/gwb.sock"
-$SWEEP_ENV "$CLI" gateway --listen "unix:$GW_B" \
-    --root "$SCRATCH/gwb_root" --quota 2 --no-workers \
-    >"$SCRATCH/gwb.log" 2>&1 &
-GW_PIDS="$GW_PIDS $!"
-wait_sock "$GW_B" || fail "gateway quota: server did not come up"
-timeout "$TIMEOUT_S" $SWEEP_ENV "$CLI" submit \
-    --server "unix:$GW_B" --pairs gcc:eon --levels 0,0.5 \
-    --no-watch --retry-later 2 --client-backoff 0.05 \
-    >/dev/null 2>"$SCRATCH/gw_quota.err"
-got=$?
-if [ "$got" -ne 15 ]; then
-    fail "gateway quota: exit $got, expected 15 (quota exceeded)"
-    sed 's/^/    /' "$SCRATCH/gw_quota.err" >&2
-elif ! grep -q 'backpressure: quota' "$SCRATCH/gw_quota.err"; then
-    fail "gateway quota: no RETRY_LATER(quota) observed before exit"
-    sed 's/^/    /' "$SCRATCH/gw_quota.err" >&2
-else
-    echo "ok: over-quota submit gets RETRY_LATER then exits 15"
-fi
-stop_gateways
-
-GW_C="$SCRATCH/gwc.sock"
-$SWEEP_ENV "$CLI" gateway --listen "unix:$GW_C" \
-    --root "$SCRATCH/gwc_root" --quota 4 --retries 2 --backoff 0.1 \
-    >"$SCRATCH/gwc.log" 2>&1 &
-GW_PIDS="$GW_PIDS $!"
-wait_sock "$GW_C" || fail "gateway quota-retry: server did not come up"
-timeout "$TIMEOUT_S" $SWEEP_ENV "$CLI" submit \
-    --server "unix:$GW_C" --pairs gcc:eon --levels 0,0.5 \
-    --no-watch >/dev/null 2>&1
-if ! timeout "$TIMEOUT_S" $SWEEP_ENV "$CLI" submit \
-        --server "unix:$GW_C" --pairs gcc:eon --levels 0.25,0.75 \
-        --no-watch --client-backoff 0.2 \
-        >/dev/null 2>"$SCRATCH/gw_defer.err"; then
-    fail "gateway quota-retry: deferred submit never succeeded"
-    sed 's/^/    /' "$SCRATCH/gw_defer.err" >&2
-elif ! grep -q 'backpressure: quota' "$SCRATCH/gw_defer.err"; then
-    fail "gateway quota-retry: submit succeeded without any deferral"
-else
-    echo "ok: quota-deferred submit succeeds on backoff retry"
-fi
-stop_gateways
-
-# 7c. Mid-stream gateway restart: SIGTERM the gateway after the
-# first streamed cell, restart it on the same root and socket, and
-# require the watch to resume — every cell exactly once, CSV
-# byte-identical to the reference.
-GW_D="$SCRATCH/gwd.sock"
-GWD_ROOT="$SCRATCH/gwd_root"
-gwd_start() {
-    $SWEEP_ENV "$CLI" gateway --listen "unix:$GW_D" \
-        --root "$GWD_ROOT" --retries 2 --backoff 0.1 \
-        >>"$SCRATCH/gwd.log" 2>&1 &
-    gwd_pid=$!
-}
-gwd_start
-wait_sock "$GW_D" || fail "gateway restart: server did not come up"
-timeout "$TIMEOUT_S" $SWEEP_ENV "$CLI" submit \
-    --server "unix:$GW_D" --pairs gcc:eon --levels 0,0.5 \
-    --no-watch >/dev/null 2>&1
-watchcsv="$SCRATCH/gw_watch.csv"
-timeout "$TIMEOUT_S" $SWEEP_ENV "$CLI" watch \
-    --server "unix:$GW_D" --pairs gcc:eon --levels 0,0.5 \
-    --client-backoff 0.1 --out "$watchcsv" \
-    >/dev/null 2>"$SCRATCH/gw_watch.err" &
-watch_pid=$!
-cell1_seen=0
-for _ in $(seq $((TIMEOUT_S * 5))); do
-    if grep -q '\[client\] cell 1/' "$SCRATCH/gw_watch.err"; then
-        cell1_seen=1
-        break
-    fi
-    kill -0 "$watch_pid" 2>/dev/null || break
-    sleep 0.2
-done
-if [ "$cell1_seen" -ne 1 ]; then
-    fail "gateway restart: watch never streamed its first cell"
-fi
-kill -TERM "$gwd_pid" 2>/dev/null
-wait "$gwd_pid" 2>/dev/null
-gwd_start
-GW_PIDS="$GW_PIDS $gwd_pid"
-wait "$watch_pid"
-got=$?
-if [ "$got" -ne 0 ]; then
-    fail "gateway restart: watch exited $got after restart"
-    sed 's/^/    /' "$SCRATCH/gw_watch.err" >&2
-elif ! cmp -s "$svcref" "$watchcsv"; then
-    fail "gateway restart: resumed CSV differs from reference"
-    diff "$svcref" "$watchcsv" | sed 's/^/    /' >&2
-else
-    dup=0
-    for i in 1 2 3 4; do
-        n=$(grep -c "\[client\] cell $i/4" "$SCRATCH/gw_watch.err")
-        [ "$n" -eq 1 ] || dup=1
-    done
-    if [ "$dup" -ne 0 ]; then
-        fail "gateway restart: cells duplicated or missing in stream"
-        grep '\[client\] cell' "$SCRATCH/gw_watch.err" \
-            | sed 's/^/    /' >&2
-    else
-        echo "ok: watch resumes across gateway restart," \
-             "every cell exactly once"
-    fi
-fi
-stop_gateways
-
 # --- 8. in-process thread-pool executor fault scenarios -------------
 #
 # The threaded drain must uphold the same golden contract as fork

@@ -26,9 +26,7 @@
  *                                into a job queue directory
  *                                (--queue DIR; sweep's --pairs /
  *                                --levels / run options select the
- *                                campaign). Idempotent; exits 22
- *                                when admission control rejected
- *                                jobs (queue at capacity)
+ *                                campaign). Idempotent
  *   serve                        worker loop: drain the queue under
  *                                lease-based claiming, serving jobs
  *                                from the verified result cache when
@@ -39,20 +37,6 @@
  *                                aggregate: one-command service
  *                                campaign emitting the same CSV as
  *                                `sweep` (same exit codes)
- *   gateway                      network front-end of the sweep
- *                                service: framed submit/watch/status
- *                                over unix/tcp sockets with tenant
- *                                quotas and RETRY_LATER backpressure
- *                                (--listen ADDR --root DIR; see
- *                                docs/robustness.md)
- *   submit                       submit a campaign to a gateway
- *                                (idempotent, retrying) and stream
- *                                its results to CSV (--server ADDR)
- *   watch                        re-attach to a submitted campaign's
- *                                result stream (--server, --key)
- *   chaosproxy                   deterministic fault-injecting proxy
- *                                between client and gateway
- *                                (--listen, --upstream, --seed)
  *   help [verb]                  the full verb registry: options and
  *                                exit codes per verb
  *   analytic                     evaluate the analytical model
@@ -105,7 +89,6 @@
  *   --queue DIR       job queue directory (required except for sweep)
  *   --cache DIR       content-addressed result cache directory
  *                     (sweep/serve/drain; empty disables the cache)
- *   --capacity N      queue admission bound, 0 = unbounded (enqueue)
  *   --worker NAME     worker name recorded in lease records
  *   --lease S         lease duration in seconds (default 60); a
  *                     worker silent this long is presumed dead and
@@ -148,9 +131,6 @@
 #include "harness/cli_verbs.hh"
 #include "harness/machine_config.hh"
 #include "harness/runner.hh"
-#include "harness/service/net/chaos.hh"
-#include "harness/service/net/client.hh"
-#include "harness/service/net/gateway.hh"
 #include "harness/service/service.hh"
 #include "harness/sweep.hh"
 #include "harness/table.hh"
@@ -487,7 +467,6 @@ serviceConfigFrom(const CliOptions &opts, service::ServiceConfig &cfg,
     cfg.backoffBaseSeconds = opts.getDouble("backoff", 0.25);
     cfg.slots = unsigned(opts.getUint("jobs", 1));
     cfg.threads = unsigned(opts.getUint("threads", 0));
-    cfg.capacity = unsigned(opts.getUint("capacity", 0));
     cfg.pollSeconds = opts.getDouble("poll", 0.5);
     cfg.progress = &std::cerr;
     cfg.stopFlag = &gStopRequested;
@@ -506,9 +485,8 @@ cmdEnqueue(const CliOptions &opts)
     service::SweepService svc(cfg);
     const auto stats = svc.enqueueCampaign(manifest);
     std::cout << "enqueued " << stats.added << " job(s), "
-              << stats.duplicates << " already queued, "
-              << stats.rejected << " rejected\n";
-    return stats.rejected ? service::exitQueueSaturated : 0;
+              << stats.duplicates << " already queued\n";
+    return 0;
 }
 
 int
@@ -545,13 +523,13 @@ cmdServe(const CliOptions &opts)
 }
 
 /**
- * Shared CSV emission for campaign aggregates. A partial campaign
- * lists its MISSING cells on stderr, with `resume_cmd` (when given)
- * as the command that finishes it.
+ * CSV emission for campaign aggregates. A partial campaign lists its
+ * MISSING cells on stderr, with `resume_cmd` as the command that
+ * finishes it.
  */
 int
 emitAggregate(const CliOptions &opts, const CampaignResult &agg,
-              const char *tag, const std::string &resume_cmd = "")
+              const char *tag, const std::string &resume_cmd)
 {
     const std::string out = opts.getString("out", "");
     if (out.empty()) {
@@ -568,10 +546,8 @@ emitAggregate(const CliOptions &opts, const CampaignResult &agg,
     }
     if (!agg.complete()) {
         std::cerr << "[" << tag << "] PARTIAL results: "
-                  << agg.missing.size() << " cell(s) missing";
-        if (!resume_cmd.empty())
-            std::cerr << " (finish with `" << resume_cmd << "`)";
-        std::cerr << "\n";
+                  << agg.missing.size() << " cell(s) missing"
+                  << " (finish with `" << resume_cmd << "`)\n";
         for (const auto &m : agg.missing)
             std::cerr << "[" << tag << "]   " << m.marker() << "\n";
     }
@@ -601,7 +577,7 @@ runCampaign(const CliOptions &opts, service::CampaignManifest manifest,
     }
 
     service::SweepService svc(cfg);
-    const auto eq = svc.enqueueCampaign(manifest);
+    svc.enqueueCampaign(manifest);
     if (readmit)
         svc.readmitQuarantined();
 
@@ -609,9 +585,7 @@ runCampaign(const CliOptions &opts, service::CampaignManifest manifest,
     if (const int rc = runWorker(opts, svc, stats); rc != 0)
         return rc;
 
-    const int rc =
-        emitAggregate(opts, svc.aggregate(), tag, resume_cmd);
-    return rc == 0 && eq.rejected ? service::exitQueueSaturated : rc;
+    return emitAggregate(opts, svc.aggregate(), tag, resume_cmd);
 }
 
 /**
@@ -672,143 +646,6 @@ cmdDrain(const CliOptions &opts)
         return 2;
     return runCampaign(opts, manifest, cfg, /*readmit=*/false, "drain",
                        "drain --queue " + cfg.queueDir);
-}
-
-namespace net = service::net;
-
-int
-cmdGateway(const CliOptions &opts)
-{
-    const std::string listen = opts.getString("listen", "");
-    const std::string root = opts.getString("root", "");
-    if (listen.empty() || root.empty()) {
-        std::cerr << "gateway needs --listen ADDR and --root DIR\n";
-        return 2;
-    }
-    net::GatewayConfig cfg;
-    cfg.listen = net::NetAddress::parse(listen);
-    cfg.rootDir = root;
-    cfg.tenantQuota = unsigned(opts.getUint("quota", 0));
-    cfg.maxCampaigns = unsigned(opts.getUint("max-campaigns", 0));
-    cfg.queueCapacity = unsigned(opts.getUint("capacity", 0));
-    cfg.runWorkers = !opts.hasFlag("no-workers");
-    cfg.slots = unsigned(opts.getUint("jobs", 1));
-    cfg.maxAttempts = unsigned(opts.getUint("retries", 3));
-    cfg.backoffBaseSeconds = opts.getDouble("backoff", 0.25);
-    cfg.leaseSeconds = opts.getDouble("lease", 60.0);
-    cfg.deadlineSeconds = opts.getDouble("deadline", 600.0);
-    cfg.retryBackoffMs = unsigned(opts.getUint("retry-ms", 200));
-    cfg.addrFile = opts.getString("addr-file", "");
-    cfg.progress = &std::cerr;
-    cfg.stopFlag = &gStopRequested;
-    std::signal(SIGTERM, onStopSignal);
-    std::signal(SIGINT, onStopSignal);
-    net::Gateway gw(cfg);
-    gw.open();
-    gw.run();
-    return 0;
-}
-
-int
-cmdChaosProxy(const CliOptions &opts)
-{
-    const std::string listen = opts.getString("listen", "");
-    const std::string upstream = opts.getString("upstream", "");
-    if (listen.empty() || upstream.empty()) {
-        std::cerr << "chaosproxy needs --listen ADDR and "
-                     "--upstream ADDR\n";
-        return 2;
-    }
-    net::ChaosConfig cfg;
-    cfg.listen = net::NetAddress::parse(listen);
-    cfg.upstream = net::NetAddress::parse(upstream);
-    cfg.seed = opts.getUint("seed", 1);
-    cfg.faultRate = opts.getDouble("fault-rate", 0.25);
-    cfg.maxFaults = unsigned(opts.getUint("max-faults", 6));
-    cfg.maxDelayMs = unsigned(opts.getUint("max-delay-ms", 40));
-    cfg.progress = &std::cerr;
-    cfg.stopFlag = &gStopRequested;
-    std::signal(SIGTERM, onStopSignal);
-    std::signal(SIGINT, onStopSignal);
-    net::ChaosProxy proxy(cfg);
-    proxy.open();
-    const std::string addrFile = opts.getString("addr-file", "");
-    if (!addrFile.empty()) {
-        std::ofstream os(addrFile);
-        os << proxy.boundAddress().spec() << "\n";
-    }
-    proxy.run();
-    return 0;
-}
-
-bool
-clientConfigFrom(const CliOptions &opts, net::ClientConfig &cfg)
-{
-    cfg.server = opts.getString("server", "");
-    if (cfg.server.empty()) {
-        std::cerr << "--server ADDR is required\n";
-        return false;
-    }
-    cfg.tenant = opts.getString("tenant", "default");
-    cfg.ioTimeoutSeconds = opts.getDouble("timeout", 10.0);
-    cfg.connectTimeoutSeconds =
-        opts.getDouble("connect-timeout", 5.0);
-    cfg.maxAttempts = unsigned(opts.getUint("attempts", 8));
-    cfg.backoffBaseSeconds = opts.getDouble("client-backoff", 0.1);
-    cfg.seed = opts.getUint("seed", 1);
-    cfg.retryLaterBudget =
-        unsigned(opts.getUint("retry-later", 64));
-    if (opts.hasFlag("no-retry")) {
-        cfg.retryLaterBudget = 0;
-        cfg.maxAttempts = 1;
-    }
-    cfg.progress = &std::cerr;
-    return true;
-}
-
-int
-cmdSubmit(const CliOptions &opts)
-{
-    service::CampaignManifest manifest;
-    net::ClientConfig cfg;
-    if (!campaignFromOpts(opts, manifest) ||
-        !clientConfigFrom(opts, cfg))
-        return 2;
-
-    net::GatewayClient client(cfg);
-    const net::SubmitReceipt receipt = client.submit(manifest);
-    std::cout << "submitted campaign " << receipt.key << " ("
-              << receipt.added << " added, " << receipt.duplicates
-              << " already queued, " << receipt.total
-              << " jobs total";
-    if (receipt.retries)
-        std::cout << ", " << receipt.retries << " retries";
-    std::cout << ")\n";
-    if (opts.hasFlag("no-watch"))
-        return 0;
-
-    CampaignResult agg = client.watch(manifest);
-    return emitAggregate(opts, agg, "submit");
-}
-
-int
-cmdWatch(const CliOptions &opts)
-{
-    net::ClientConfig cfg;
-    if (!clientConfigFrom(opts, cfg))
-        return 2;
-    net::GatewayClient client(cfg);
-
-    service::CampaignManifest manifest;
-    const std::string key = opts.getString("key", "");
-    if (!key.empty()) {
-        manifest = client.fetchManifest(key);
-    } else if (!campaignFromOpts(opts, manifest)) {
-        return 2;
-    }
-
-    CampaignResult agg = client.watch(manifest);
-    return emitAggregate(opts, agg, "watch");
 }
 
 int
@@ -936,7 +773,7 @@ main(int argc, char **argv)
 
     const std::vector<std::string> flagNames = {
         "measured", "l1-switch", "windows", "stats", "raw",
-        "no-fastforward", "no-workers", "no-watch", "no-retry"};
+        "no-fastforward"};
     CliOptions opts(argc - 1, argv + 1, flagNames);
     if (opts.positional().empty())
         return usage();
@@ -980,14 +817,6 @@ main(int argc, char **argv)
             return cmdServe(opts);
         if (cmd == "drain")
             return cmdDrain(opts);
-        if (cmd == "gateway")
-            return cmdGateway(opts);
-        if (cmd == "submit")
-            return cmdSubmit(opts);
-        if (cmd == "watch")
-            return cmdWatch(opts);
-        if (cmd == "chaosproxy")
-            return cmdChaosProxy(opts);
         if (cmd == "analytic")
             return cmdAnalytic(opts);
         if (cmd == "faults")
