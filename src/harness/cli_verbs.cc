@@ -99,7 +99,11 @@ buildVerbs()
     verbs.push_back(
         {"run-st", "run-st <bench> [options]",
          "run one benchmark alone and print its metrics",
-         runOptions(), exitSim});
+         concat(runOptions(),
+                {{"--stats", "dump the statistics tree to stderr"},
+                 {"--retire-trace F",
+                  "write a text retirement trace to file F"}}),
+         exitSim});
 
     verbs.push_back(
         {"run-soe", "run-soe <benchA> <benchB>... [options]",
@@ -227,6 +231,16 @@ findCliVerb(const std::string &name)
             return &verb;
     }
     return nullptr;
+}
+
+std::vector<std::string>
+unknownVerbOptions(const CliVerb &verb, const CliOptions &opts)
+{
+    // A registry entry reads "--name ARG" or "--flag".
+    std::vector<std::string> known;
+    for (const auto &opt : verb.options)
+        known.push_back(opt.name.substr(2, opt.name.find(' ') - 2));
+    return opts.unknownOptions(known);
 }
 
 void

@@ -15,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "harness/cli.hh"
+
 namespace soefair
 {
 namespace harness
@@ -41,6 +43,14 @@ const std::vector<CliVerb> &cliVerbs();
 
 /** Find a verb by name; nullptr when unknown. */
 const CliVerb *findCliVerb(const std::string &name);
+
+/**
+ * Options on the command line that `verb` does not list (names
+ * without the leading "--"). soefair_cli refuses a command line
+ * with any of them (exit 2) instead of running with a default.
+ */
+std::vector<std::string> unknownVerbOptions(const CliVerb &verb,
+                                            const CliOptions &opts);
 
 /** Render the one-screen overview (all verbs, one line each). */
 void printCliHelp(std::ostream &os);

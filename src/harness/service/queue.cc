@@ -178,26 +178,6 @@ JobQueue::exists(const std::string &dir)
     return ::access(first.c_str(), F_OK) == 0;
 }
 
-std::string
-JobQueue::peekKey(const std::string &dir)
-{
-    const std::string first =
-        dir + "/" + segPrefix + "000001" + segSuffix;
-    std::ifstream is(first, std::ios::binary);
-    std::string line;
-    if (!is || !std::getline(is, line)) {
-        raiseError<CheckpointError>("queue '", dir,
-                                    "': cannot read first segment");
-    }
-    std::map<std::string, std::string> f;
-    if (!jsonlVerifyLine(line) || !jsonlParseLine(line, f) ||
-        field(f, "queue") != "soefair-queue") {
-        raiseError<CheckpointError>("queue '", dir,
-                                    "': corrupt segment header");
-    }
-    return field(f, "key");
-}
-
 void
 JobQueue::open(const std::string &dir, const std::string &key,
                const QueueConfig &config)

@@ -161,9 +161,6 @@ class JobQueue
 
     /** Whether `dir` already holds a queue (its first segment). */
     static bool exists(const std::string &dir);
-    /** Key of an existing queue (raises CheckpointError when the
-     *  first segment's header is unreadable). */
-    static std::string peekKey(const std::string &dir);
 
     const std::string &key() const { return queueKey; }
     const std::string &directory() const { return queueDir; }

@@ -20,19 +20,35 @@ System::System(const MachineConfig &config,
     coreInst = std::make_unique<cpu::Core>(cfg.core, *hier, &root);
 
     for (std::size_t i = 0; i < specs.size(); ++i) {
+        workload::InstSource *feed = nullptr;
         if (!specs[i].tracePath.empty()) {
             sources.push_back(
                 std::make_unique<workload::TraceReplaySource>(
                     specs[i].tracePath));
+            feed = sources.back().get();
         } else {
-            sources.push_back(
-                std::make_unique<workload::WorkloadGenerator>(
-                    specs[i].profile, ThreadID(i), specs[i].seed));
+            auto gen = std::make_unique<workload::WorkloadGenerator>(
+                specs[i].profile, ThreadID(i), specs[i].seed);
+            readAheads.push_back(
+                std::make_unique<workload::ReadAhead>(*gen));
+            sources.push_back(std::move(gen));
+            feed = readAheads.back().get();
         }
-        streams.push_back(
-            std::make_unique<workload::InstStream>(*sources.back()));
+        streams.push_back(std::make_unique<workload::InstStream>(*feed));
         coreInst->addThread(streams.back().get());
     }
+}
+
+System::~System()
+{
+    stopReadAhead();
+}
+
+void
+System::stopReadAhead()
+{
+    for (auto &ra : readAheads)
+        ra->stop();
 }
 
 workload::InstSource &
@@ -40,6 +56,7 @@ System::source(ThreadID tid)
 {
     soefair_assert(tid >= 0 && std::size_t(tid) < sources.size(),
                    "source() bad tid");
+    stopReadAhead();
     return *sources[std::size_t(tid)];
 }
 
@@ -66,6 +83,8 @@ void
 System::step(std::uint64_t n)
 {
     soefair_assert(started, "System::step before start");
+    for (auto &ra : readAheads)
+        ra->start();
     const Tick end = currentTick + n;
     while (currentTick < end) {
         ++currentTick;
@@ -109,6 +128,8 @@ System::warmCaches(std::uint64_t instrs_per_thread)
 {
     soefair_assert(!started,
                    "warmCaches must run before System::start");
+    // No helper has started yet (step() starts them), so the
+    // generators are read directly.
     constexpr std::uint64_t chunk = 4096;
     std::vector<std::uint64_t> remaining(sources.size(),
                                          instrs_per_thread);

@@ -2,11 +2,23 @@
  * @file
  * System builder: wires workloads, memory hierarchy, core and the
  * SOE engine into a runnable simulated machine.
+ *
+ * Threads: one thread runs a System (`sim`), and each
+ * generator-backed hardware thread gets a read-ahead helper thread
+ * (workload/readahead.hh) that produces its micro-ops. The helpers
+ * start at the first step() and are joined whenever a caller reaches
+ * a generator through generator()/source(), and on destruction, so
+ * no caller ever reads a generator a helper is writing. A simulation
+ * therefore runs on 1 + (generator-backed threads) OS threads.
+ * Trace-driven threads stay synchronous: a TraceReplaySource reports
+ * corrupt records and counts wraps as it reads, so reading it ahead
+ * would report records the run never reaches.
  */
 
 // detlint: conc-optin — System owns the exact state step() mutates;
-// every member is tagged with its owner, the one thread that runs
-// this System (CONC-001, see src/sim/annotations.hh).
+// every member is tagged with its owner, the thread that runs this
+// System (CONC-001, see src/sim/annotations.hh). The helpers share
+// only the generators, through the ReadAhead rings.
 
 #ifndef SOEFAIR_HARNESS_SYSTEM_HH
 #define SOEFAIR_HARNESS_SYSTEM_HH
@@ -23,6 +35,7 @@
 #include "stats/stats.hh"
 #include "workload/generator.hh"
 #include "workload/inst_stream.hh"
+#include "workload/readahead.hh"
 #include "workload/profile.hh"
 #include "workload/trace_file.hh"
 
@@ -66,13 +79,24 @@ class System
   public:
     System(const MachineConfig &config,
            const std::vector<ThreadSpec> &specs);
+    /** Joins the read-ahead helpers. */
+    ~System();
+
+    System(const System &) = delete;
+    System &operator=(const System &) = delete;
 
     cpu::Core &core() { return *coreInst; }
     mem::Hierarchy &hierarchy() { return *hier; }
     EventQueue &events() { return eventQueue; }
-    /** The thread's generator; fatal() for trace-driven threads. */
+    /**
+     * The thread's generator; fatal() for trace-driven threads.
+     * Joins the read-ahead helpers (the next step() restarts them),
+     * so the generator may be up to ReadAhead::capacity ops ahead of
+     * what the core has fetched.
+     */
     workload::WorkloadGenerator &generator(ThreadID tid);
-    /** The thread's instruction source (generator or trace). */
+    /** The thread's instruction source (generator or trace); joins
+     *  the helpers like generator(). */
     workload::InstSource &source(ThreadID tid);
     statistics::Group &stats() { return root; }
 
@@ -83,7 +107,8 @@ class System
     void start(cpu::SwitchController *controller);
 
     /**
-     * Advance exactly n cycles. With fast-forward enabled (the
+     * Advance exactly n cycles (starting the read-ahead helpers if
+     * they are not running). With fast-forward enabled (the
      * default), runs of provably quiescent cycles — every pipeline
      * stage stalled, nothing due on the event queue — are jumped in
      * one step instead of ticked one by one, with the per-cycle
@@ -107,7 +132,7 @@ class System
      * Functional cache warmup: stream `instrs_per_thread` upcoming
      * instructions of every thread through the caches (round-robin
      * in chunks so threads' lines interleave), consuming the
-     * generators. No cycles pass.
+     * generators on the calling thread. No cycles pass.
      */
     void warmCaches(std::uint64_t instrs_per_thread);
 
@@ -115,13 +140,25 @@ class System
     void dumpStats(std::ostream &os) const { root.dump(os); }
 
   private:
+    /** Join every read-ahead helper (no-op when none runs). */
+    void stopReadAhead();
+
     statistics::Group root SOE_THREAD_OWNED(sim);
     MachineConfig cfg SOE_THREAD_OWNED(sim);
     EventQueue eventQueue SOE_THREAD_OWNED(sim);
     std::unique_ptr<mem::Hierarchy> hier SOE_THREAD_OWNED(sim);
     std::unique_ptr<cpu::Core> coreInst SOE_THREAD_OWNED(sim);
+    /**
+     * The vector is the sim thread's. While the helpers run, each
+     * generator in it is called only by its helper; trace sources
+     * are always read on the sim thread.
+     */
     std::vector<std::unique_ptr<workload::InstSource>>
         sources SOE_THREAD_OWNED(sim);
+    /** One per generator-backed thread. Declared after `sources`,
+     *  so they are joined before the generators are destroyed. */
+    std::vector<std::unique_ptr<workload::ReadAhead>>
+        readAheads SOE_THREAD_OWNED(sim);
     std::vector<std::unique_ptr<workload::InstStream>>
         streams SOE_THREAD_OWNED(sim);
     Tick currentTick SOE_THREAD_OWNED(sim) = 0;

@@ -7,7 +7,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
+#include <chrono>
+#include <condition_variable>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -31,16 +32,6 @@ std::int64_t
 epochNow()
 {
     return std::int64_t(::time(nullptr));
-}
-
-void
-sleepMs(unsigned ms)
-{
-    struct timespec ts;
-    ts.tv_sec = ms / 1000;
-    ts.tv_nsec = long(ms % 1000) * 1000000L;
-    while (nanosleep(&ts, &ts) != 0 && errno == EINTR) {
-    }
 }
 
 /**
@@ -68,8 +59,12 @@ struct PoolShared
     /** First infrastructure failure; rethrown after join. */
     std::string firstError SOE_GUARDED_BY(lock);
 
-    /** Workers joined; tells the heartbeat thread to exit. */
-    std::atomic<bool> workersDone SOE_THREAD_OWNED(worker){false};
+    /** Workers joined; tells the heartbeat thread to exit. drain()
+     *  sets it under doneLock and signals doneCv, so the heartbeat
+     *  wakes at once instead of at its next tick. */
+    AnnotatedMutex doneLock SOE_THREAD_OWNED(worker);
+    std::condition_variable_any doneCv SOE_THREAD_OWNED(worker);
+    bool workersDone SOE_GUARDED_BY(doneLock) = false;
 
     PoolShared(const WorkerPoolConfig &config,
                const std::map<std::string, CampaignJob> &b)
@@ -245,15 +240,21 @@ heartbeatMain(PoolShared &sh)
         const double hb = sh.cfg.heartbeatSeconds > 0.0
                               ? sh.cfg.heartbeatSeconds
                               : sh.cfg.leaseSeconds / 3.0;
+        // Never renew more often than every 50 ms.
+        const std::chrono::duration<double> tick(std::max(hb, 0.05));
         JobQueue queue;
         queue.open(sh.cfg.queueDir, sh.cfg.queueKey, sh.cfg.queue);
-        double sinceBeat = 0.0;
-        while (!sh.workersDone.load()) {
-            sleepMs(50);
-            sinceBeat += 0.05;
-            if (sinceBeat < hb)
-                continue;
-            sinceBeat = 0.0;
+        while (true) {
+            {
+                AnnotatedLock g(sh.doneLock);
+                const auto until = std::chrono::steady_clock::now() + tick;
+                while (!sh.workersDone &&
+                       sh.doneCv.wait_until(sh.doneLock, until) !=
+                           std::cv_status::timeout) {
+                }
+                if (sh.workersDone)
+                    break;
+            }
             std::vector<std::shared_ptr<LiveClaim>> snap;
             {
                 AnnotatedLock g(sh.lock);
@@ -303,7 +304,11 @@ WorkerPool::drain()
         workers.emplace_back(workerMain, std::ref(sh), i);
     for (auto &t : workers)
         t.join();
-    sh.workersDone.store(true);
+    {
+        AnnotatedLock g(sh.doneLock);
+        sh.workersDone = true;
+    }
+    sh.doneCv.notify_all();
     heartbeat.join();
 
     WorkerPoolStats out;

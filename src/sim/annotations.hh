@@ -2,7 +2,8 @@
  * @file
  * Thread-safety capability annotations for state that more than
  * one thread may touch: the in-process sweep executor's pool
- * (harness/worker_pool) and the per-thread simulator it runs.
+ * (harness/worker_pool), the per-thread simulator it runs, and that
+ * simulator's generation read-ahead (workload/readahead).
  *
  * Two layers, both zero-cost at runtime:
  *
@@ -16,7 +17,8 @@
  * 2. `SOE_THREAD_OWNED(domain)` — a member-level ownership tag that
  *    expands to nothing under *every* compiler. It names the one
  *    thread that owns a mutable member (`sim`: the thread running
- *    that System; `worker`: one pool thread) and satisfies detlint
+ *    that System; `helper`: one of that System's read-ahead
+ *    threads; `worker`: one pool thread) and satisfies detlint
  *    rule CONC-001: in a conc-optin file every mutable member
  *    carries a capability annotation or this tag. When state
  *    becomes genuinely shared, the tag is replaced by
@@ -88,7 +90,8 @@
  * Ownership tag for a single-owner mutable member (see file
  * comment). Expands to nothing under every compiler; consumed by
  * detlint rule CONC-001. `domain` is a bare identifier naming the
- * thread that owns the member: `sim` or `worker`.
+ * thread that owns the member: `sim`, `helper` or `worker`. On an
+ * atomic shared by two threads it names the one that writes it.
  */
 #define SOE_THREAD_OWNED(domain)
 

@@ -11,6 +11,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "harness/cli_verbs.hh"
 
@@ -52,6 +53,34 @@ TEST(CliVerbs, EveryVerbDocumentsItselfCompletely)
                 << verb.name << " option: " << opt.name;
         }
     }
+}
+
+TEST(CliVerbs, UnknownOptionsAreCheckedPerVerb)
+{
+    auto unknownFor = [](const char *verb,
+                         std::vector<const char *> argv) {
+        argv.insert(argv.begin(), verb);
+        // The flags soefair_cli parses as taking no value.
+        const CliOptions opts(int(argv.size()), argv.data(),
+                              {"measured", "l1-switch", "windows",
+                               "stats", "raw", "no-fastforward"});
+        return unknownVerbOptions(*findCliVerb(verb), opts);
+    };
+    using Names = std::vector<std::string>;
+    EXPECT_EQ(unknownFor("analytic", {"--capacity", "7"}),
+              Names{"capacity"});
+    EXPECT_EQ(unknownFor("analytic", {"--F", "0.3", "--swlat", "9"}),
+              Names{});
+    EXPECT_EQ(unknownFor("run-soe", {"gcc", "eon", "--windows",
+                                     "--policy", "quota"}),
+              Names{});
+    EXPECT_EQ(unknownFor("run-st", {"mcf", "--measure", "60000"}),
+              Names{"measure"});
+    // serve takes its campaign from the queue, not the command line.
+    EXPECT_EQ(unknownFor("serve", {"--queue", "q", "--pairs", "a:b"}),
+              Names{"pairs"});
+    EXPECT_EQ(unknownFor("faults", {"all", "--raw", "--seed", "3"}),
+              Names{});
 }
 
 TEST(CliVerbs, FindCliVerbResolvesKnownAndRejectsUnknown)

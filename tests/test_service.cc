@@ -431,7 +431,6 @@ TEST(JobQueue, StatePersistsAcrossReopenAndProcesses)
     EXPECT_EQ(q2.openJobs(), 5u);
 
     EXPECT_TRUE(JobQueue::exists(td.path));
-    EXPECT_EQ(JobQueue::peekKey(td.path), "key1");
 }
 
 TEST(JobQueue, MismatchedKeyIsRejected)

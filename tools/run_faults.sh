@@ -186,7 +186,10 @@ fi
 # SIGTERM drain -- and in every case the final aggregate CSV must be
 # byte-identical to an uninterrupted campaign's.
 
-SVC_ARGS="--pairs gcc:eon --levels 0,0.5 --retries 2 --backoff 0.1"
+# `serve` takes its campaign from the queue: it gets the worker
+# options alone.
+SVC_WORKER="--retries 2 --backoff 0.1"
+SVC_ARGS="--pairs gcc:eon --levels 0,0.5 $SVC_WORKER"
 SVC_CACHE="$SCRATCH/svc_cache"
 
 # Uninterrupted reference drain (also populates the result cache).
@@ -253,7 +256,7 @@ qk="$SCRATCH/svc_q_kill"
 ck="$SCRATCH/svc_cache_kill"
 timeout "$TIMEOUT_S" $SWEEP_ENV "$CLI" enqueue $SVC_ARGS \
     --queue "$qk" >/dev/null 2>&1
-timeout "$TIMEOUT_S" $SWEEP_ENV "$CLI" serve $SVC_ARGS \
+timeout "$TIMEOUT_S" $SWEEP_ENV "$CLI" serve $SVC_WORKER \
     --queue "$qk" --cache "$ck" --lease 3 \
     --deadline "$SWEEP_DEADLINE" >/dev/null 2>&1 &
 serve_pid=$!
@@ -280,7 +283,7 @@ fi
 qs="$SCRATCH/svc_q_term"
 timeout "$TIMEOUT_S" $SWEEP_ENV "$CLI" enqueue $SVC_ARGS \
     --queue "$qs" >/dev/null 2>&1
-timeout "$TIMEOUT_S" $SWEEP_ENV "$CLI" serve $SVC_ARGS \
+timeout "$TIMEOUT_S" $SWEEP_ENV "$CLI" serve $SVC_WORKER \
     --queue "$qs" --inject 'soe:gcc:eon:F=0.5@hang@99' \
     --deadline "$SWEEP_DEADLINE" >/dev/null 2>&1 &
 serve_pid=$!
@@ -313,7 +316,8 @@ fi
 # recoverable case the final aggregate is byte-identical to the
 # reference.
 
-THR_ARGS="--pairs gcc:eon --levels 0,0.5 --retries 2 --backoff 0.1"
+THR_WORKER="--retries 2 --backoff 0.1"
+THR_ARGS="--pairs gcc:eon --levels 0,0.5 $THR_WORKER"
 
 # 8a. In-thread SimError quarantine: the injected InputError unwinds
 # inside a worker thread, is mapped to its exit code and quarantines
@@ -343,7 +347,7 @@ fi
 q8b="$SCRATCH/thr_q_kill"
 timeout "$TIMEOUT_S" $SWEEP_ENV "$CLI" enqueue $THR_ARGS \
     --queue "$q8b" >/dev/null 2>&1
-timeout "$TIMEOUT_S" $SWEEP_ENV "$CLI" serve $THR_ARGS \
+timeout "$TIMEOUT_S" $SWEEP_ENV "$CLI" serve $THR_WORKER \
     --queue "$q8b" --threads 2 --lease 3 \
     --deadline "$SWEEP_DEADLINE" >/dev/null 2>&1 &
 serve_pid=$!
@@ -369,7 +373,7 @@ fi
 q8c="$SCRATCH/thr_q_term"
 timeout "$TIMEOUT_S" $SWEEP_ENV "$CLI" enqueue $THR_ARGS \
     --queue "$q8c" >/dev/null 2>&1
-timeout "$TIMEOUT_S" $SWEEP_ENV "$CLI" serve $THR_ARGS \
+timeout "$TIMEOUT_S" $SWEEP_ENV "$CLI" serve $THR_WORKER \
     --queue "$q8c" --threads 1 \
     --deadline "$SWEEP_DEADLINE" >/dev/null 2>&1 &
 serve_pid=$!

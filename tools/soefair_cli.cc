@@ -48,6 +48,9 @@
  *                                with the SimError's code — see
  *                                docs/robustness.md)
  *
+ * An option the verb does not list (`soefair_cli help <verb>`) is a
+ * usage error: the command exits 2 without running.
+ *
  * Common options:
  *   --seed N          master seed base (default 1)
  *   --instrs N        measured instructions per thread
@@ -784,6 +787,15 @@ main(int argc, char **argv)
     // scripted caller observes.
     return harness::runWithExitCodeMapping([&]() -> int {
         const std::string &cmd = opts.positional()[0];
+        if (const CliVerb *verb = findCliVerb(cmd)) {
+            const auto unknown = unknownVerbOptions(*verb, opts);
+            if (!unknown.empty()) {
+                std::cerr << "unknown option --" << unknown.front()
+                          << " for '" << cmd << "' (see `soefair_cli "
+                          << "help " << cmd << "`)\n";
+                return 2;
+            }
+        }
         if (cmd == "help") {
             if (opts.positional().size() > 1) {
                 const CliVerb *verb =
