@@ -1,10 +1,8 @@
 #include "eval_common.hh"
 
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <set>
-#include <sstream>
 
 #include "harness/env.hh"
 #include "harness/service/service.hh"
@@ -18,45 +16,6 @@ namespace bench
 {
 
 using namespace harness;
-
-namespace
-{
-
-constexpr const char *cacheVersion = "soefair-eval-v2";
-
-/**
- * Directory holding every eval artifact (dataset cache, durable
- * queue, result cache). Defaults to build/ so the repo root stays
- * clean; SOEFAIR_EVAL_DIR relocates it (CI points it at scratch).
- */
-std::string
-evalDir()
-{
-    const std::string dir = env::getOr("SOEFAIR_EVAL_DIR", "build");
-    std::filesystem::create_directories(dir);
-    return dir;
-}
-
-std::string
-cachePath()
-{
-    return evalDir() + "/soefair_eval_cache.txt";
-}
-
-/**
- * Key guarding the assembled-dataset cache file. It embeds the
- * campaign's full configuration fingerprint (machine + run
- * parameters + pairs + levels), so *any* configuration change —
- * not just the handful of fields the v1 key sampled — invalidates
- * the cache instead of silently serving stale results.
- */
-std::string
-configKey(const SweepCampaign &campaign)
-{
-    return std::string(cacheVersion) + " " + campaign.journalKey();
-}
-
-} // namespace
 
 MachineConfig
 evalMachine()
@@ -79,10 +38,22 @@ levels()
 namespace
 {
 
+/**
+ * Directory holding every eval artifact (durable queue, result
+ * cache). Defaults to build/ so the repo root stays clean;
+ * SOEFAIR_EVAL_DIR relocates it (CI points it at scratch).
+ */
+std::string
+evalDir()
+{
+    const std::string dir = env::getOr("SOEFAIR_EVAL_DIR", "build");
+    std::filesystem::create_directories(dir);
+    return dir;
+}
+
 /** Drain the campaign through the local durable job service. */
 CampaignResult
-drainLocally(const service::CampaignManifest &manifest,
-             const std::string &cache_file)
+drainLocally(const service::CampaignManifest &manifest)
 {
     const std::string queueDir = evalDir() + "/soefair_eval_queue";
     const std::string resultCacheDir =
@@ -121,7 +92,7 @@ drainLocally(const service::CampaignManifest &manifest,
     }
     std::cerr << "[eval] draining the evaluation sweep (queue: "
               << queueDir << ", result cache: " << resultCacheDir
-              << ", dataset cache: " << cache_file << ")...\n";
+              << ")...\n";
     svc.serve();
     return svc.aggregate();
 }
@@ -136,20 +107,11 @@ evaluationData()
     manifest.levels = levels();
     manifest.rc = evalRunConfig();
 
-    SweepCampaign campaign = service::campaignFromManifest(manifest);
-
-    EvalData data;
-    const std::string cacheFile = cachePath();
-    if (loadPairResults(cacheFile, configKey(campaign), data.pairs)) {
-        std::cerr << "[eval] loaded cached sweep from " << cacheFile
-                  << "\n";
-        return data;
-    }
-
-    CampaignResult agg = drainLocally(manifest, cacheFile);
+    CampaignResult agg = drainLocally(manifest);
 
     // Figure drivers index every standard level, so only fully
     // complete pairs are safe to hand them.
+    EvalData data;
     std::set<std::string> incomplete;
     for (const auto &m : agg.missing)
         incomplete.insert(m.pair);
@@ -159,9 +121,7 @@ evaluationData()
     }
     data.missing = std::move(agg.missing);
 
-    if (data.complete()) {
-        savePairResults(cacheFile, configKey(campaign), data.pairs);
-    } else {
+    if (!data.complete()) {
         warn("evaluation sweep is PARTIAL (", data.missing.size(),
              " cell(s) missing); re-run to resume");
     }

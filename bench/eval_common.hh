@@ -5,11 +5,12 @@
  * All three figures are projections of one dataset: the 16 benchmark
  * pairs, each run single-threaded and under SOE at F = 0, 1/4, 1/2
  * and 1. Running that sweep takes minutes, so the first bench to
- * need it writes a cache file (soefair_eval_cache.txt under
- * $SOEFAIR_EVAL_DIR, default build/) and the others load it. The
- * cache key is the campaign's full configuration fingerprint: any
- * configuration change (scale, machine, levels) invalidates it
- * automatically.
+ * need it drains it through the job service into a durable queue
+ * and a content-addressed result cache (both under
+ * $SOEFAIR_EVAL_DIR, default build/), and the others are served
+ * from there. Queue and cache are keyed by the campaign's full
+ * configuration fingerprint: any configuration change (scale,
+ * machine, levels) re-simulates instead of serving stale results.
  */
 
 #ifndef SOEFAIR_BENCH_EVAL_COMMON_HH
@@ -47,16 +48,15 @@ struct EvalData
 };
 
 /**
- * Obtain the full evaluation dataset, from the cache file if its
- * key matches the campaign's full configuration fingerprint, else
- * by draining the sweep through the durable job service (see
- * docs/robustness.md): jobs are enqueued into
- * $SOEFAIR_EVAL_DIR/soefair_eval_queue/ and results committed to
- * the content-addressed result cache soefair_eval_rcache/ next to
- * it, so a second figure driver — or a re-run after a crash — is
- * served from the cache (single-thread baselines included) instead
- * of re-simulating. The text cache is written only once the
- * campaign is complete.
+ * Obtain the full evaluation dataset by draining the sweep through
+ * the durable job service (see docs/robustness.md): jobs are
+ * enqueued into $SOEFAIR_EVAL_DIR/soefair_eval_queue/ and results
+ * committed to the content-addressed result cache
+ * soefair_eval_rcache/ next to it. A second figure driver finds the
+ * queue already complete and only aggregates it; a re-run after a
+ * crash resumes the queue, and a queue of another configuration is
+ * replaced and refilled from the result cache (single-thread
+ * baselines included) instead of re-simulating.
  */
 EvalData evaluationData();
 

@@ -5,8 +5,8 @@
  * The ROB and the fetch buffer are bounded FIFOs whose entries are
  * pointed at by the rename table, issue queue and load/store queues.
  * A std::deque gives the required reference stability but allocates
- * and frees chunk blocks as the queue breathes, which shows up as
- * the dominant steady-state heap traffic in perf_microbench. This
+ * and frees chunk blocks as the queue breathes, which was the
+ * dominant steady-state heap traffic of a simulated cycle. This
  * ring allocates its slots once at construction: an entry's address
  * never changes between push and pop (slots are reused only after
  * the entry left the structure), so all existing pointer protocols

@@ -129,8 +129,9 @@ buildVerbs()
     verbs.push_back(
         {"record-trace", "record-trace <bench> [options]",
          "record a workload to a trace file",
-         concat(runOptions(),
-                {{"--out F", "output path (default <bench>.soetrace)"}}),
+         {{"--seed N", "workload seed (default 1)"},
+          {"--instrs N", "micro-ops to record (default 1000000)"},
+          {"--out F", "output path (default <bench>.soetrace)"}},
          exitSim});
 
     const std::vector<CliVerbOption> serviceOpts = {

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <fstream>
-#include <iomanip>
 #include <sstream>
 
 #include "core/metrics.hh"
@@ -114,77 +112,6 @@ EvaluationSweep::runPair(const std::string &bench_a,
         pr.levels.push_back(std::move(lr));
     }
     return pr;
-}
-
-void
-savePairResults(const std::string &path, const std::string &key,
-                const std::vector<PairResult> &results)
-{
-    std::ofstream os(path);
-    if (!os) {
-        warn("cannot write sweep cache '", path, "'");
-        return;
-    }
-    using statistics::statfmt::full;
-    os << key << "\n";
-    os << results.size() << "\n";
-    for (const auto &pr : results) {
-        os << pr.nameA << " " << pr.nameB << " " << full(pr.stA.ipc)
-           << " " << full(pr.stB.ipc) << " " << pr.levels.size()
-           << "\n";
-        for (const auto &l : pr.levels) {
-            os << full(l.targetF) << " "
-               << full(l.run.threads[0].ipc) << " "
-               << full(l.run.threads[1].ipc) << " "
-               << full(l.run.ipcTotal) << " " << full(l.fairness)
-               << " " << full(l.speedupOverSt) << " "
-               << l.run.cycles << " " << l.run.switchesMiss << " "
-               << l.run.switchesForced << " " << l.run.switchesQuota
-               << "\n";
-        }
-    }
-}
-
-bool
-loadPairResults(const std::string &path, const std::string &key,
-                std::vector<PairResult> &results)
-{
-    std::ifstream is(path);
-    if (!is)
-        return false;
-    std::string header;
-    if (!std::getline(is, header) || header != key)
-        return false;
-
-    std::size_t numPairs = 0;
-    is >> numPairs;
-    if (!is || numPairs == 0 || numPairs > 1000)
-        return false;
-    results.clear();
-    for (std::size_t i = 0; i < numPairs; ++i) {
-        PairResult pr;
-        std::size_t numLevels = 0;
-        is >> pr.nameA >> pr.nameB >> pr.stA.ipc >> pr.stB.ipc
-           >> numLevels;
-        if (!is || numLevels > 32)
-            return false;
-        for (std::size_t j = 0; j < numLevels; ++j) {
-            LevelResult l;
-            l.run.threads.resize(2);
-            is >> l.targetF >> l.run.threads[0].ipc
-               >> l.run.threads[1].ipc >> l.run.ipcTotal >> l.fairness
-               >> l.speedupOverSt >> l.run.cycles
-               >> l.run.switchesMiss >> l.run.switchesForced
-               >> l.run.switchesQuota;
-            if (!is)
-                return false;
-            l.speedups = {l.run.threads[0].ipc / pr.stA.ipc,
-                          l.run.threads[1].ipc / pr.stB.ipc};
-            pr.levels.push_back(std::move(l));
-        }
-        results.push_back(std::move(pr));
-    }
-    return true;
 }
 
 namespace

@@ -103,17 +103,6 @@ std::uint64_t pairSeed(unsigned idx);
  */
 std::uint64_t attemptSeed(std::uint64_t seed, unsigned attempt);
 
-/**
- * Persist/load a sweep's results (the fields Figures 6-8 need) to a
- * text cache file. `key` identifies the configuration that produced
- * the results: loading fails (returns false) when the file's key
- * differs, so stale caches are never reused.
- */
-void savePairResults(const std::string &path, const std::string &key,
-                     const std::vector<PairResult> &results);
-bool loadPairResults(const std::string &path, const std::string &key,
-                     std::vector<PairResult> &results);
-
 /** Write the per-level results as CSV (machine-readable sweeps). */
 void writePairResultsCsv(std::ostream &os,
                          const std::vector<PairResult> &results);

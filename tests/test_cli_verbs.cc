@@ -81,6 +81,9 @@ TEST(CliVerbs, UnknownOptionsAreCheckedPerVerb)
               Names{"pairs"});
     EXPECT_EQ(unknownFor("faults", {"all", "--raw", "--seed", "3"}),
               Names{});
+    // record-trace reads only --out, --instrs and --seed.
+    EXPECT_EQ(unknownFor("record-trace", {"gcc", "--scale", "0.01"}),
+              Names{"scale"});
 }
 
 TEST(CliVerbs, FindCliVerbResolvesKnownAndRejectsUnknown)

@@ -7,6 +7,11 @@
  * levels; under the ci-asan preset they also run with SOE_AUDIT
  * enabled, which exercises the jump-past-event and sample-boundary
  * audits on every jump.
+ *
+ * PointerChaseIsAlmostAllSkipped pins how much fast-forward skips
+ * on a serial pointer chase, where ~99% of simulated cycles are
+ * provably quiescent stalls. It is a count of skipped cycles, not a
+ * host timing, so it holds on any machine.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +27,7 @@
 #include "harness/system.hh"
 #include "soe/engine.hh"
 #include "soe/policies.hh"
+#include "workload/profile.hh"
 
 using namespace soefair;
 using harness::MachineConfig;
@@ -79,6 +85,76 @@ soeGolden(const std::string &bench_a, const std::string &bench_b,
         r = runner.runSoe(specs, pol, rc);
     }
     return harness::encodeSoePayload(r) + "\n" + os.str();
+}
+
+/**
+ * Serial pointer-chase profile: almost every instruction is a load
+ * into a 256 MB chase region with near-total dependence on the
+ * previous load, so execution is a chain of back-to-back memory
+ * misses (~Miss_lat cycles apiece) with nothing to overlap.
+ */
+workload::Profile
+missHeavyProfile()
+{
+    workload::Profile p;
+    p.name = "pchase";
+    // Tiny, straight-line code footprint: the I-side must never be
+    // the stall source in this scenario.
+    p.code = {64, 6, 10, 0.30, 0.0};
+    workload::Phase ph;
+    ph.wIntAlu = 0.15;
+    ph.wLoad = 1.0;
+    ph.wStore = 0.0;
+    // Near-total serialization: each load depends on its
+    // predecessor, so misses cannot overlap.
+    ph.depGeoP = 0.85;
+    ph.depNone = 0.02;
+    ph.hotBytes = 4 * 1024;
+    ph.chaseBytes = 256ull * 1024 * 1024;
+    ph.wRegion[unsigned(workload::RegionKind::Hot)] = 0.05;
+    ph.wRegion[unsigned(workload::RegionKind::Stream)] = 0.0;
+    ph.wRegion[unsigned(workload::RegionKind::Strided)] = 0.0;
+    ph.wRegion[unsigned(workload::RegionKind::Chase)] = 1.0;
+    p.phases = {ph};
+    return p;
+}
+
+/** What one pointer-chase run leaves behind. */
+struct ChaseRun
+{
+    std::uint64_t retired = 0;
+    std::uint64_t cycles = 0;
+    std::uint64_t skipped = 0;
+    std::string stats;
+};
+
+/**
+ * One pointer-chase thread under the miss-only SOE engine: caches
+ * warmed with 20,000 instructions, then stepped in 1,000-cycle
+ * chunks until 1,500 and then 5,000 more instructions retire.
+ */
+ChaseRun
+pointerChase(bool ff)
+{
+    ThreadSpec spec;
+    spec.profile = missHeavyProfile();
+    spec.seed = 1;
+    const MachineConfig mc = MachineConfig::benchDefault();
+    harness::System sys(mc, {spec});
+    soe::MissOnlyPolicy pol;
+    soe::SoeEngine eng(mc.soe, pol, 1, &sys.stats());
+    sys.setFastForward(ff);
+    sys.warmCaches(20 * 1000);
+    sys.start(&eng);
+    for (std::uint64_t instrs : {1500u, 5000u}) {
+        const std::uint64_t target = sys.core().retired(0) + instrs;
+        while (sys.core().retired(0) < target)
+            sys.step(1000);
+    }
+    std::ostringstream os;
+    sys.dumpStats(os);
+    return {sys.core().retired(0), sys.now(), sys.fastForwardCycles(),
+            os.str()};
 }
 
 } // namespace
@@ -171,4 +247,18 @@ TEST(FastForward, EnvironmentToggle)
     EXPECT_TRUE(RunConfig::fromEnv().fastForward);
     ::unsetenv("SOEFAIR_FASTFORWARD");
     EXPECT_TRUE(RunConfig::fromEnv().fastForward);
+}
+
+TEST(FastForward, PointerChaseIsAlmostAllSkipped)
+{
+    const ChaseRun on = pointerChase(true);
+    ASSERT_GT(on.cycles, 0u);
+    EXPECT_GE(double(on.skipped) / double(on.cycles), 0.99)
+        << on.skipped << " of " << on.cycles << " cycles skipped";
+
+    const ChaseRun off = pointerChase(false);
+    EXPECT_EQ(off.skipped, 0u);
+    EXPECT_EQ(on.retired, off.retired);
+    EXPECT_EQ(on.cycles, off.cycles);
+    EXPECT_EQ(on.stats, off.stats);
 }

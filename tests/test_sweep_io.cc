@@ -1,8 +1,8 @@
-/** @file Tests for sweep result persistence and CSV output. */
+/** @file Tests for sweep result CSV output. */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <algorithm>
 #include <sstream>
 
 #include "harness/sweep.hh"
@@ -12,14 +12,6 @@ using namespace soefair::harness;
 
 namespace
 {
-
-struct TempFile
-{
-    explicit TempFile(const char *name)
-        : path(std::string("/tmp/soefair_") + name + ".cache") {}
-    ~TempFile() { std::remove(path.c_str()); }
-    std::string path;
-};
 
 std::vector<PairResult>
 sampleResults()
@@ -53,49 +45,6 @@ sampleResults()
 }
 
 } // namespace
-
-TEST(SweepIo, SaveLoadRoundTrip)
-{
-    TempFile f("roundtrip");
-    auto orig = sampleResults();
-    savePairResults(f.path, "key-v1", orig);
-
-    std::vector<PairResult> back;
-    ASSERT_TRUE(loadPairResults(f.path, "key-v1", back));
-    ASSERT_EQ(back.size(), 1u);
-    EXPECT_EQ(back[0].nameA, "gcc");
-    EXPECT_EQ(back[0].nameB, "eon");
-    EXPECT_DOUBLE_EQ(back[0].stA.ipc, 0.7);
-    ASSERT_EQ(back[0].levels.size(), 2u);
-    const auto &l = back[0].level(0.5);
-    EXPECT_DOUBLE_EQ(l.run.threads[1].ipc, 2.4);
-    EXPECT_EQ(l.run.switchesForced, 42u);
-    EXPECT_DOUBLE_EQ(l.fairness, 0.33);
-    // Speedups are reconstructed from the stored IPCs.
-    EXPECT_NEAR(l.speedups[0], 0.2 / 0.7, 1e-12);
-}
-
-TEST(SweepIo, KeyMismatchRejectsCache)
-{
-    TempFile f("key");
-    savePairResults(f.path, "config-A", sampleResults());
-    std::vector<PairResult> back;
-    EXPECT_FALSE(loadPairResults(f.path, "config-B", back));
-    EXPECT_TRUE(loadPairResults(f.path, "config-A", back));
-}
-
-TEST(SweepIo, MissingOrCorruptFileRejected)
-{
-    std::vector<PairResult> back;
-    EXPECT_FALSE(loadPairResults("/nonexistent/c.cache", "k", back));
-
-    TempFile f("corrupt");
-    {
-        std::ofstream os(f.path);
-        os << "k\n1\ngcc eon 0.7"; // truncated
-    }
-    EXPECT_FALSE(loadPairResults(f.path, "k", back));
-}
 
 TEST(SweepIo, CsvHasHeaderAndRows)
 {

@@ -397,7 +397,7 @@ def check_det001(path: str, text: str):
                 path, line, "DET-001",
                 f"forbidden non-deterministic source '{m.group(0).strip()}'"
                 f" ({label}) in model code; timing belongs in "
-                "src/harness or bench/perf_*")
+                "src/harness or perfbench/")
 
 
 def check_det002(path: str, text: str):
